@@ -12,9 +12,9 @@
  *  - branches_per_sec (headline): Engine::run() over a ReplaySource —
  *    the zero-copy nextSpan() path reading 24-byte records in place;
  *  - packed_branches_per_sec: the same engine over a
- *    PackedReplaySource — the 16-byte packed format the trace cache
- *    keeps resident, unpacked in 256-record spans, i.e. what a
- *    parallel suite cell executes against a cached trace.
+ *    PackedReplaySource — the 16-byte packed format, unpacked in
+ *    4096-record spans.  Suite runs replay the 24-byte format; this
+ *    column keeps the comparison that chose it.
  *
  * The pair prices the packed format's memory savings (unpack
  * arithmetic vs. 1.5x less trace traffic) instead of hiding it.
@@ -104,7 +104,7 @@ struct PredictorResult
 {
     std::string name;
     Timing span;   ///< headline: zero-copy in-place replay
-    Timing packed; ///< trace-cache path: packed records, span-unpacked
+    Timing packed; ///< packed records, span-unpacked
 };
 
 /** Per-predictor regression tolerance after median normalization. */

@@ -83,14 +83,15 @@ threadCount(int argc, char **argv, unsigned fallback = 0)
  * line) with environment fallbacks:
  *   --checkpoint=<path>      (IBP_CHECKPOINT)    progress-file path
  *   --checkpoint-every=<n>   (IBP_CHECKPOINT_EVERY)  mid-cell cadence
+ *                            (cell tasks run with one thread)
  *   --resume                 (IBP_RESUME=1)      resume from the file
  * An interrupted run restarted with the same path and --resume skips
  * every finished cell and produces a report that `report_tool --diff`
  * finds identical to an uninterrupted run's.
  *
- * One-pass replay (generate/decode each trace once, feed every
- * predictor column from the shared records — bit-identical, usually
- * faster) is enabled by:
+ * One-pass replay (one task per row: read each trace once and feed
+ * every predictor column from the shared records — bit-identical,
+ * usually faster; checkpoints record finished rows) is enabled by:
  *   --one-pass               (IBP_ONE_PASS=1)
  *
  * Timeline tracing (see obs/timeline.hh):

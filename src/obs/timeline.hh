@@ -12,8 +12,8 @@
  * spans exist too, but they live in the trace-event log
  * (obs/trace_event.hh) and never feed a gating comparison.
  *
- * The write side is a TimelineSampler owned by the replay machinery
- * (sim::ReplaySession / sim::SpanDriver); this layer never sees
+ * The write side is a TimelineSampler owned by the replayer
+ * (sim::ReplaySession); this layer never sees
  * simulator types — samples arrive as plain cumulative counts, keeping
  * the obs < sim layering intact.  A disabled sampler (interval 0) is a
  * single predictable branch on the replay path: the probe zero-cost

@@ -126,9 +126,9 @@ struct CompletedCell
 
 /**
  * A mid-replay snapshot of the one cell in flight when the progress
- * file was last written (serial runner only).  The three state blobs
- * are opaque here; the runner feeds them back through loadState /
- * loadProbes on objects it builds itself.
+ * file was last written (taken by cell tasks run inline).  The three
+ * state blobs are opaque here; the scheduler feeds them back through
+ * loadState / loadProbes on objects it builds itself.
  */
 struct PartialCell
 {

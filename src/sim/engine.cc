@@ -23,18 +23,13 @@ namespace {
  * bit-identical across instantiations *and* across span sizes: no
  * state outlives a record beyond the RAS, metrics and predictor, so
  * chunking a trace differently cannot change a simulated number.
- *
- * Predictors exposing prefetchFor() get replay lookahead: after record
- * b completes (post-observe), the table lines record b+distance will
- * touch are prefetched.  At distance 1 the hint is exact — the history
- * registers already hold the state the upcoming predict will hash.
  */
 template <typename Predictor>
 inline void
 replaySpan(const trace::BranchRecord *span, std::size_t n,
            bool use_ras, bool per_site, bool observes,
-           std::size_t prefetch_distance, Predictor &predictor,
-           pred::ReturnAddressStack &ras, RunMetrics &metrics)
+           Predictor &predictor, pred::ReturnAddressStack &ras,
+           RunMetrics &metrics)
 {
     metrics.branches += n;
     for (std::size_t b = 0; b < n; ++b) {
@@ -65,92 +60,33 @@ replaySpan(const trace::BranchRecord *span, std::size_t n,
 
         if (observes)
             predictor.observe(record);
-
-        if constexpr (requires(const Predictor &p, trace::Addr a) {
-                          p.prefetchFor(a);
-                      }) {
-            const std::size_t ahead = b + prefetch_distance;
-            if (prefetch_distance != 0 && ahead < n &&
-                span[ahead].isPredictedIndirect())
-                predictor.prefetchFor(span[ahead].pc);
-        }
     }
 }
 
 /**
- * The batched replay driver: pulls spans (or bounded batches) from the
- * source and runs each through replaySpan().
- *
- * @p limit bounds the records consumed (ReplaySession::kNoLimit = run
- * to exhaustion).  The unbounded case keeps the zero-copy nextSpan()
- * fast path; a bounded run clamps nextBatch() instead, because a span
- * consumes the whole remainder and cannot stop at a record boundary.
- * @return records consumed.
+ * The concrete-type switch: one dynamic_cast chain per feed() or run()
+ * call (not per record) hands @p fn the hottest predictors as their
+ * final types, so replaySpan() inlines them.  Anything else —
+ * composite predictors, test doubles — gets the base class and the
+ * generic virtual loop, with identical semantics.
  */
-template <typename Predictor>
-std::uint64_t
-replay(const EngineConfig &config, trace::BranchSource &source,
-       Predictor &predictor, pred::ReturnAddressStack &ras,
-       RunMetrics &metrics, std::uint64_t limit)
-{
-    // Loop-invariant configuration and the predictor's observe()
-    // interest are hoisted out of the hot loop.
-    const bool use_ras = config.useRas;
-    const bool per_site = config.perSiteStats;
-    const bool observes = predictor.wantsObserve();
-    const std::size_t prefetch_distance = config.prefetchDistance;
-    const bool unbounded = limit == ReplaySession::kNoLimit;
-
-    std::uint64_t consumed = 0;
-    trace::BranchRecord batch[Engine::kReplayBatch];
-    while (unbounded || consumed < limit) {
-        const trace::BranchRecord *span = nullptr;
-        std::size_t n = 0;
-        if (unbounded)
-            n = source.nextSpan(span);
-        if (n == 0) {
-            const std::size_t want =
-                unbounded ? Engine::kReplayBatch
-                          : static_cast<std::size_t>(std::min<
-                                std::uint64_t>(Engine::kReplayBatch,
-                                               limit - consumed));
-            n = source.nextBatch(batch, want);
-            if (n == 0)
-                break;
-            span = batch;
-        }
-        consumed += n;
-        replaySpan(span, n, use_ras, per_site, observes,
-                   prefetch_distance, predictor, ras, metrics);
-    }
-    return consumed;
-}
-
-/**
- * Type-switch devirtualization: one dynamic_cast per run (not per
- * record) routes the hottest concrete predictors into fully inlined
- * replay loops.  Anything else — composite predictors, test doubles —
- * takes the generic virtual loop with identical semantics.
- */
-std::uint64_t
-dispatchReplay(const EngineConfig &config, trace::BranchSource &source,
-               pred::IndirectPredictor &predictor,
-               pred::ReturnAddressStack &ras, RunMetrics &metrics,
-               std::uint64_t limit)
+template <typename Fn>
+decltype(auto)
+withConcreteType(pred::IndirectPredictor &predictor, Fn &&fn)
 {
     if (auto *btb = dynamic_cast<pred::Btb *>(&predictor))
-        return replay(config, source, *btb, ras, metrics, limit);
+        return fn(*btb);
     if (auto *btb2b = dynamic_cast<pred::Btb2b *>(&predictor))
-        return replay(config, source, *btb2b, ras, metrics, limit);
+        return fn(*btb2b);
     if (auto *ppm = dynamic_cast<core::PpmPredictor *>(&predictor))
-        return replay(config, source, *ppm, ras, metrics, limit);
+        return fn(*ppm);
     if (auto *dpath = dynamic_cast<pred::Dpath *>(&predictor))
-        return replay(config, source, *dpath, ras, metrics, limit);
+        return fn(*dpath);
     if (auto *cascade = dynamic_cast<pred::Cascade *>(&predictor))
-        return replay(config, source, *cascade, ras, metrics, limit);
+        return fn(*cascade);
     if (auto *fppm = dynamic_cast<core::FilteredPpm *>(&predictor))
-        return replay(config, source, *fppm, ras, metrics, limit);
-    return replay(config, source, predictor, ras, metrics, limit);
+        return fn(*fppm);
+    return fn(predictor);
 }
 
 } // namespace
@@ -180,43 +116,97 @@ ReplaySession::ReplaySession(const EngineConfig &config)
 {
 }
 
+template <typename Predictor>
+void
+ReplaySession::feedAs(const trace::BranchRecord *span, std::size_t n,
+                      Predictor &predictor)
+{
+    const bool observes = predictor.wantsObserve();
+    if (!sampler_.enabled()) {
+        replaySpan(span, n, config_.useRas, config_.perSiteStats,
+                   observes, predictor, ras_, metrics_);
+        return;
+    }
+    // Split the span at window boundaries.  Boundaries are absolute
+    // record counts, so the windows are identical however the trace
+    // is cut into spans, bounded runs or checkpoint/resume cycles.
+    std::size_t off = 0;
+    while (off < n) {
+        const std::uint64_t boundary =
+            sampler_.nextBoundary(metrics_.branches);
+        const std::size_t len =
+            static_cast<std::size_t>(std::min<std::uint64_t>(
+                n - off, boundary - metrics_.branches));
+        replaySpan(span + off, len, config_.useRas,
+                   config_.perSiteStats, observes, predictor, ras_,
+                   metrics_);
+        off += len;
+        if (metrics_.branches == boundary)
+            sampleTimeline(predictor);
+    }
+}
+
+void
+ReplaySession::feed(const trace::BranchRecord *span, std::size_t n,
+                    pred::IndirectPredictor &predictor)
+{
+    withConcreteType(predictor, [&](auto &concrete) {
+        feedAs(span, n, concrete);
+    });
+}
+
+void
+ReplaySession::finishTimeline(const pred::IndirectPredictor &predictor)
+{
+    if (sampler_.enabled())
+        sampleTimeline(predictor);
+}
+
+template <typename Predictor>
+std::uint64_t
+ReplaySession::runAs(trace::BranchSource &source, Predictor &predictor,
+                     std::uint64_t limit)
+{
+    // The unbounded case keeps the zero-copy nextSpan() fast path; a
+    // bounded run clamps nextBatch() instead, because a span consumes
+    // the whole remainder and cannot stop at a record boundary.
+    const bool unbounded = limit == kNoLimit;
+    std::uint64_t consumed = 0;
+    trace::BranchRecord batch[Engine::kReplayBatch];
+    while (unbounded || consumed < limit) {
+        const trace::BranchRecord *span = nullptr;
+        std::size_t n = 0;
+        if (unbounded)
+            n = source.nextSpan(span);
+        if (n == 0) {
+            const std::size_t want =
+                unbounded ? Engine::kReplayBatch
+                          : static_cast<std::size_t>(std::min<
+                                std::uint64_t>(Engine::kReplayBatch,
+                                               limit - consumed));
+            n = source.nextBatch(batch, want);
+            if (n == 0) {
+                // Source exhausted: close the final partial window (a
+                // no-op when the trace ended exactly on a boundary).
+                finishTimeline(predictor);
+                break;
+            }
+            span = batch;
+        }
+        consumed += n;
+        feedAs(span, n, predictor);
+    }
+    return consumed;
+}
+
 std::uint64_t
 ReplaySession::run(trace::BranchSource &source,
                    pred::IndirectPredictor &predictor,
                    std::uint64_t limit)
 {
-    if (!sampler_.enabled())
-        return dispatchReplay(config_, source, predictor, ras_,
-                              metrics_, limit);
-
-    // Sampling run: replay in sub-limits clamped to the next window
-    // boundary.  Span-size invariance of the replay loop means the
-    // chunking changes no simulated number; boundaries are absolute
-    // record counts, so the windows are identical however the run is
-    // sliced across bounded calls or checkpoint/resume cycles.
-    const bool unbounded = limit == kNoLimit;
-    std::uint64_t consumed = 0;
-    for (;;) {
-        const std::uint64_t boundary =
-            sampler_.nextBoundary(metrics_.branches);
-        std::uint64_t want = boundary - metrics_.branches;
-        if (!unbounded)
-            want = std::min(want, limit - consumed);
-        const std::uint64_t ran = dispatchReplay(
-            config_, source, predictor, ras_, metrics_, want);
-        consumed += ran;
-        if (metrics_.branches == boundary)
-            sampleTimeline(predictor);
-        if (ran < want) {
-            // Source exhausted: close the final partial window (a
-            // no-op when the trace ended exactly on a boundary).
-            sampleTimeline(predictor);
-            break;
-        }
-        if (!unbounded && consumed == limit)
-            break;
-    }
-    return consumed;
+    return withConcreteType(predictor, [&](auto &concrete) {
+        return runAs(source, concrete, limit);
+    });
 }
 
 void
@@ -278,102 +268,6 @@ void
 ReplaySession::loadProbes(util::StateReader &reader)
 {
     ras_.loadProbes(reader);
-}
-
-template <typename Predictor>
-void
-SpanDriver::feedAs(SpanDriver &driver, const trace::BranchRecord *span,
-                   std::size_t n)
-{
-    auto &predictor = static_cast<Predictor &>(*driver.predictor_);
-    replaySpan(span, n, driver.config_.useRas,
-               driver.config_.perSiteStats, predictor.wantsObserve(),
-               driver.config_.prefetchDistance, predictor, driver.ras_,
-               driver.metrics_);
-}
-
-SpanDriver::FeedFn
-SpanDriver::selectFeed(pred::IndirectPredictor &predictor)
-{
-    // The same type switch dispatchReplay() uses, resolved once at
-    // construction instead of once per run.
-    if (dynamic_cast<pred::Btb *>(&predictor))
-        return &feedAs<pred::Btb>;
-    if (dynamic_cast<pred::Btb2b *>(&predictor))
-        return &feedAs<pred::Btb2b>;
-    if (dynamic_cast<core::PpmPredictor *>(&predictor))
-        return &feedAs<core::PpmPredictor>;
-    if (dynamic_cast<pred::Dpath *>(&predictor))
-        return &feedAs<pred::Dpath>;
-    if (dynamic_cast<pred::Cascade *>(&predictor))
-        return &feedAs<pred::Cascade>;
-    if (dynamic_cast<core::FilteredPpm *>(&predictor))
-        return &feedAs<core::FilteredPpm>;
-    return &feedAs<pred::IndirectPredictor>;
-}
-
-SpanDriver::SpanDriver(const EngineConfig &config,
-                       pred::IndirectPredictor &predictor)
-    : config_(config), predictor_(&predictor),
-      feed_(selectFeed(predictor)), ras_(config.rasDepth),
-      sampler_(config.timeline)
-{
-}
-
-void
-SpanDriver::feed(const trace::BranchRecord *span, std::size_t n)
-{
-    if (!sampler_.enabled()) {
-        feed_(*this, span, n);
-        return;
-    }
-    // Split the span at window boundaries (absolute record counts),
-    // so one-pass timelines match the per-cell paths byte for byte
-    // regardless of the chunk size the suite feeds.
-    std::size_t off = 0;
-    while (off < n) {
-        const std::uint64_t boundary =
-            sampler_.nextBoundary(metrics_.branches);
-        const std::size_t len =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                n - off, boundary - metrics_.branches));
-        feed_(*this, span + off, len);
-        off += len;
-        if (metrics_.branches == boundary)
-            sampleTimeline();
-    }
-}
-
-void
-SpanDriver::sampleTimeline()
-{
-    obs::TimelineSample sample;
-    sample.branches = metrics_.branches;
-    sample.predictions = metrics_.mtIndirect;
-    sample.misses = metrics_.indirectMisses.events();
-    sample.noPredictions = metrics_.noPrediction.events();
-    if (!sampler_.config().sampleProbes) {
-        sampler_.sample(sample, nullptr);
-        return;
-    }
-    obs::ProbeRegistry probes;
-    snapshotProbes(probes);
-    sampler_.sample(sample, &probes);
-}
-
-void
-SpanDriver::finishTimeline()
-{
-    if (sampler_.enabled())
-        sampleTimeline();
-}
-
-void
-SpanDriver::snapshotProbes(obs::ProbeRegistry &registry) const
-{
-    registry.counter("ras/overflows", ras_.overflows());
-    registry.counter("ras/underflows", ras_.underflows());
-    predictor_->snapshotProbes(registry);
 }
 
 } // namespace ibp::sim

@@ -1,14 +1,12 @@
 #include "sim/experiment.hh"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <future>
 #include <iomanip>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "util/logging.hh"
@@ -19,173 +17,6 @@
 #include "sim/checkpoint.hh"
 
 namespace ibp::sim {
-
-namespace {
-
-/** Seconds elapsed since a wallSeconds() reading. */
-double
-secondsSince(double start)
-{
-    return obs::wallSeconds() - start;
-}
-
-/**
- * The generateTraceCached() store.  Each entry is a shared_future so
- * concurrent requests for the same key rendezvous on one generation:
- * the first requester installs the entry and generates outside the
- * lock while everyone else blocks on the future.
- */
-class TraceCache
-{
-  public:
-    using Buffer = std::shared_ptr<const trace::PackedTraceBuffer>;
-
-    Buffer
-    get(const workload::BenchmarkProfile &profile, double trace_scale,
-        double *generation_seconds)
-    {
-        if (generation_seconds)
-            *generation_seconds = 0;
-        const std::string key = keyFor(profile, trace_scale);
-
-        std::promise<Buffer> promise;
-        std::shared_future<Buffer> future;
-        bool generate = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = entries_.find(key);
-            if (it != entries_.end()) {
-                ++hits_;
-                it->second.lastUse = ++tick_;
-                future = it->second.buffer;
-            } else {
-                ++misses_;
-                generate = true;
-                future = promise.get_future().share();
-                evictLocked(capacity_ > 0 ? capacity_ - 1 : 0);
-                entries_[key] = Entry{future, ++tick_};
-            }
-        }
-
-        if (!generate)
-            return future.get();
-
-        const double start = obs::wallSeconds();
-        try {
-            // Generate unpacked, then pack for residency: the cache
-            // holds (and every replaying cell streams) 16-byte
-            // records; the 24-byte staging buffer dies right here.
-            auto buffer =
-                std::make_shared<const trace::PackedTraceBuffer>(
-                    generateTrace(profile, trace_scale));
-            if (generation_seconds)
-                *generation_seconds = secondsSince(start);
-            promise.set_value(std::move(buffer));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(mutex_);
-            entries_.erase(key);
-        }
-        return future.get();
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.clear();
-    }
-
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.size();
-    }
-
-    void
-    setCapacity(std::size_t max_entries)
-    {
-        fatal_if(max_entries == 0,
-                 "trace cache capacity must be at least 1");
-        std::lock_guard<std::mutex> lock(mutex_);
-        capacity_ = max_entries;
-        evictLocked(capacity_);
-    }
-
-    std::uint64_t
-    hits() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return hits_;
-    }
-
-    std::uint64_t
-    misses() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return misses_;
-    }
-
-  private:
-    struct Entry
-    {
-        std::shared_future<Buffer> buffer;
-        std::uint64_t lastUse = 0;
-    };
-
-    static std::string
-    keyFor(const workload::BenchmarkProfile &profile, double trace_scale)
-    {
-        // %a round-trips the scale exactly; nearby scales never alias.
-        char scale_text[32];
-        std::snprintf(scale_text, sizeof(scale_text), "%a", trace_scale);
-        std::ostringstream key;
-        key << profile.fullName() << '|' << profile.program.seed << '|'
-            << profile.records << '|' << scale_text;
-        return key.str();
-    }
-
-    /** Drop ready LRU entries until at most @p keep remain. */
-    // ibp-lint: requires_lock(mutex_)
-    void
-    evictLocked(std::size_t keep)
-    {
-        while (entries_.size() > keep) {
-            auto victim = entries_.end();
-            for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-                if (it->second.buffer.wait_for(std::chrono::seconds(0)) !=
-                    std::future_status::ready)
-                    continue; // never drop an in-flight generation
-                if (victim == entries_.end() ||
-                    it->second.lastUse < victim->second.lastUse)
-                    victim = it;
-            }
-            if (victim == entries_.end())
-                return;
-            entries_.erase(victim);
-        }
-    }
-
-    mutable std::mutex mutex_;
-    // ibp-lint: guarded_by(mutex_)
-    std::map<std::string, Entry> entries_;
-    std::size_t capacity_ = 8; // ibp-lint: guarded_by(mutex_)
-    std::uint64_t tick_ = 0;   // ibp-lint: guarded_by(mutex_)
-    /** Requests satisfied by residency.  ibp-lint: guarded_by(mutex_) */
-    std::uint64_t hits_ = 0;
-    /** Requests that generated.  ibp-lint: guarded_by(mutex_) */
-    std::uint64_t misses_ = 0;
-};
-
-TraceCache &
-traceCache()
-{
-    static TraceCache cache;
-    return cache;
-}
-
-} // namespace
 
 std::vector<double>
 SuiteResult::averages() const
@@ -225,43 +56,6 @@ generateTrace(const workload::BenchmarkProfile &profile,
     return program.collect(records);
 }
 
-std::shared_ptr<const trace::PackedTraceBuffer>
-generateTraceCached(const workload::BenchmarkProfile &profile,
-                    double trace_scale, double *generation_seconds)
-{
-    return traceCache().get(profile, trace_scale, generation_seconds);
-}
-
-void
-clearTraceCache()
-{
-    traceCache().clear();
-}
-
-std::size_t
-traceCacheSize()
-{
-    return traceCache().size();
-}
-
-void
-setTraceCacheCapacity(std::size_t max_entries)
-{
-    traceCache().setCapacity(max_entries);
-}
-
-std::uint64_t
-traceCacheHits()
-{
-    return traceCache().hits();
-}
-
-std::uint64_t
-traceCacheMisses()
-{
-    return traceCache().misses();
-}
-
 RunMetrics
 runOne(const workload::BenchmarkProfile &profile,
        const std::string &predictor_name, const SuiteOptions &options)
@@ -274,6 +68,13 @@ runOne(const workload::BenchmarkProfile &profile,
 }
 
 namespace {
+
+/** Seconds elapsed since a wallSeconds() reading. */
+double
+secondsSince(double start)
+{
+    return obs::wallSeconds() - start;
+}
 
 CellResult
 cellFromMetrics(const RunMetrics &metrics)
@@ -335,364 +136,370 @@ writeSuiteProgress(const SuiteOptions &options,
  */
 constexpr std::size_t kOnePassChunk = 4096;
 
-/** Per-column state for a one-pass row: a factory-fresh predictor,
- *  its span driver, and this cell's accumulated replay time. */
-struct OnePassColumn
+/**
+ * One benchmark row's trace, shared by the row's tasks: the first task
+ * to acquire() generates it (concurrent ones wait on the same
+ * generation), each task replays it through its own ReplaySource
+ * cursor, and the last task's release() frees it.  With tasks run
+ * inline a row's trace therefore lives from the row's first task to
+ * its last, and a row with no tasks never generates one.
+ */
+class RowTrace
 {
-    std::unique_ptr<pred::IndirectPredictor> predictor;
-    std::unique_ptr<SpanDriver> driver;
-    double wallSeconds = 0;
-    double cpuSeconds = 0;
+  public:
+    RowTrace(const workload::BenchmarkProfile &profile,
+             double trace_scale, std::size_t tasks)
+        : profile_(&profile), traceScale_(trace_scale), pending_(tasks)
+    {
+    }
+
+    /** The row's records, valid until this task calls release(). */
+    const trace::TraceBuffer &
+    acquire()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!records_) {
+            obs::ScopedTraceSpan span("tracegen " + profile_->fullName(),
+                                      "tracegen");
+            const double start = obs::wallSeconds();
+            records_ = std::make_unique<const trace::TraceBuffer>(
+                generateTrace(*profile_, traceScale_));
+            genSeconds_ = secondsSince(start);
+        }
+        return *records_;
+    }
+
+    /** One task is done with the trace; the last one frees it. */
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (--pending_ == 0)
+            records_.reset();
+    }
+
+    /** Time the one generation took (0 if it never ran). */
+    double
+    genSeconds() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return genSeconds_;
+    }
+
+  private:
+    const workload::BenchmarkProfile *profile_;
+    double traceScale_;
+    mutable std::mutex mutex_;
+    // ibp-lint: guarded_by(mutex_)
+    std::unique_ptr<const trace::TraceBuffer> records_;
+    std::size_t pending_;  // ibp-lint: guarded_by(mutex_)
+    double genSeconds_ = 0; // ibp-lint: guarded_by(mutex_)
 };
 
-std::vector<OnePassColumn>
-makeOnePassColumns(const std::vector<std::string> &predictor_names,
+/** A unit of scheduled work: one cell, or a one-pass row's columns. */
+struct SuiteTask
+{
+    std::size_t row = 0;
+    std::vector<std::size_t> cols;
+};
+
+/** One finished cell, as a task hands it to the merge. */
+struct CellOutput
+{
+    std::size_t col = 0;
+    CellResult cell;
+    obs::ProbeRegistry probes;
+    obs::Timeline timeline;
+};
+
+/** Everything one task produced. */
+struct TaskOutput
+{
+    std::vector<CellOutput> cells;
+    double cpuSeconds = 0; ///< the whole task, trace generation included
+};
+
+/**
+ * The suite scheduler behind runSuite(): enumerates the tasks, runs
+ * them inline or on a pool, and merges their outputs (and the
+ * progress file) in submission order.
+ */
+class SuiteScheduler
+{
+  public:
+    SuiteScheduler(const std::vector<workload::BenchmarkProfile> &profiles,
+                   const std::vector<std::string> &predictor_names,
                    const SuiteOptions &options)
-{
-    std::vector<OnePassColumn> columns(predictor_names.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        columns[c].predictor =
-            makePredictor(predictor_names[c], options.factory);
-        columns[c].driver = std::make_unique<SpanDriver>(
-            options.engine, *columns[c].predictor);
+        : profiles_(profiles), names_(predictor_names),
+          options_(options),
+          checkpointing_(!options.checkpointPath.empty()),
+          traces_(profiles.size())
+    {
+        result_.predictorNames = predictor_names;
+        for (const auto &profile : profiles)
+            result_.rowNames.push_back(profile.fullName());
+        result_.cells.assign(profiles.size(),
+                             std::vector<CellResult>(names_.size()));
+        if (checkpointing_) {
+            progress_.fingerprint =
+                suiteFingerprint(profiles, predictor_names, options);
+            loadSuiteProgressFor(options, progress_);
+            // The snapshot is consumed by its cell's task; the file
+            // carries a partial again only once a new one is taken.
+            resume_ = std::move(progress_.partial);
+            progress_.partial = PartialCell{};
+        }
+        enumerateTasks();
     }
-    return columns;
-}
 
-/** Feed one decoded chunk to every column, timing each feed. */
-void
-feedOnePassChunk(std::vector<OnePassColumn> &columns,
-                 const trace::BranchRecord *chunk, std::size_t n)
-{
-    for (auto &column : columns) {
+    SuiteResult
+    run(SuiteTiming *timing)
+    {
+        const unsigned threads =
+            util::ThreadPool::resolveThreads(options_.threads);
         const double wall_start = obs::wallSeconds();
-        const double cpu_start = obs::threadCpuSeconds();
-        column.driver->feed(chunk, n);
-        column.cpuSeconds += obs::threadCpuSeconds() - cpu_start;
-        column.wallSeconds += secondsSince(wall_start);
-    }
-}
-
-/** Harvest a finished one-pass row into cells + probes + timelines. */
-std::vector<CellResult>
-harvestOnePassRow(std::vector<OnePassColumn> &columns,
-                  const std::vector<std::string> &predictor_names,
-                  const std::string &row_name, SuiteResult &result)
-{
-    std::vector<CellResult> row;
-    row.reserve(columns.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        columns[c].driver->finishTimeline();
-        obs::ProbeRegistry probes;
-        columns[c].driver->snapshotProbes(probes);
-        CellResult cell = cellFromMetrics(columns[c].driver->metrics());
-        cell.wallSeconds = columns[c].wallSeconds;
-        cell.cpuSeconds = columns[c].cpuSeconds;
-        result.probes[predictor_names[c]].merge(probes);
-        row.push_back(cell);
-        if (obs::Timeline timeline = columns[c].driver->takeTimeline();
-            timeline.interval() > 0)
-            result.timelines[row_name][predictor_names[c]] =
-                std::move(timeline);
-    }
-    return row;
-}
-
-/**
- * The serial one-pass path: one trace per row, decoded once, all
- * predictor columns fed from the shared records chunk by chunk.
- */
-SuiteResult
-runSuiteOnePassSerial(
-    const std::vector<workload::BenchmarkProfile> &profiles,
-    const std::vector<std::string> &predictor_names,
-    const SuiteOptions &options, SuiteTiming *timing)
-{
-    const double wall_start = obs::wallSeconds();
-    double trace_gen = 0;
-    SuiteResult result;
-    result.predictorNames = predictor_names;
-
-    for (const auto &profile : profiles) {
-        const std::string row_name = profile.fullName();
-        result.rowNames.push_back(row_name);
-
-        const double gen_start = obs::wallSeconds();
-        trace::TraceBuffer buffer;
-        {
-            obs::ScopedTraceSpan gen_span("tracegen " + row_name,
-                                          "tracegen");
-            buffer = generateTrace(profile, options.traceScale);
-        }
-        trace_gen += secondsSince(gen_start);
-
-        obs::ScopedTraceSpan row_span(row_name + " / one-pass row",
-                                      "cell");
-        auto columns = makeOnePassColumns(predictor_names, options);
-        buffer.rewind();
-        const trace::BranchRecord *span = nullptr;
-        std::size_t n = 0;
-        while ((n = buffer.nextSpan(span)) != 0) {
-            for (std::size_t off = 0; off < n; off += kOnePassChunk) {
-                const std::size_t len =
-                    std::min(kOnePassChunk, n - off);
-                feedOnePassChunk(columns, span + off, len);
-            }
-        }
-        result.cells.push_back(harvestOnePassRow(
-            columns, predictor_names, row_name, result));
-    }
-    if (timing) {
-        timing->wallSeconds = secondsSince(wall_start);
-        timing->serialEquivalentSeconds = timing->wallSeconds;
-        timing->traceGenSeconds = trace_gen;
-        timing->threadsUsed = 1;
-    }
-    return result;
-}
-
-/** The legacy serial path: one trace per row, one cell at a time. */
-SuiteResult
-runSuiteSerial(const std::vector<workload::BenchmarkProfile> &profiles,
-               const std::vector<std::string> &predictor_names,
-               const SuiteOptions &options, SuiteTiming *timing)
-{
-    if (options.onePass) {
-        if (options.checkpointPath.empty())
-            return runSuiteOnePassSerial(profiles, predictor_names,
-                                         options, timing);
-        warn("one-pass suite mode does not support checkpointing; "
-             "using the per-cell path");
-    }
-
-    const double wall_start = obs::wallSeconds();
-    double trace_gen = 0;
-    SuiteResult result;
-    result.predictorNames = predictor_names;
-
-    const bool checkpointing = !options.checkpointPath.empty();
-    SuiteProgress progress;
-    if (checkpointing) {
-        progress.fingerprint =
-            suiteFingerprint(profiles, predictor_names, options);
-        loadSuiteProgressFor(options, progress);
-    }
-
-    for (const auto &profile : profiles) {
-        const std::string row_name = profile.fullName();
-        result.rowNames.push_back(row_name);
-
-        // A fully resumed row needs no trace at all.
-        bool row_needs_trace = !checkpointing;
-        for (const auto &name : predictor_names)
-            if (!row_needs_trace && !progress.find(row_name, name))
-                row_needs_trace = true;
-
-        trace::TraceBuffer buffer;
-        if (row_needs_trace) {
-            obs::ScopedTraceSpan gen_span("tracegen " + row_name,
-                                          "tracegen");
-            const double gen_start = obs::wallSeconds();
-            buffer = generateTrace(profile, options.traceScale);
-            trace_gen += secondsSince(gen_start);
-        }
-
-        std::vector<CellResult> row;
-        row.reserve(predictor_names.size());
-        for (const auto &name : predictor_names) {
-            if (checkpointing) {
-                if (const CompletedCell *done =
-                        progress.find(row_name, name)) {
-                    result.probes[name].merge(done->probes);
-                    row.push_back(done->cell);
-                    if (done->timeline.interval() > 0)
-                        result.timelines[row_name][name] =
-                            done->timeline;
-                    continue;
-                }
-            }
-            obs::ScopedTraceSpan cell_span(row_name + " / " + name,
-                                           "cell");
-            auto predictor = makePredictor(name, options.factory);
-            ReplaySession session(options.engine);
-            buffer.rewind();
-            const double cell_start = obs::wallSeconds();
-            const double cpu_start = obs::threadCpuSeconds();
-
-            if (progress.partial.valid &&
-                progress.partial.row == row_name &&
-                progress.partial.col == name) {
-                const std::uint64_t cursor = progress.partial.cursor;
-                if (restorePartialCell(progress.partial, *predictor,
-                                       session) &&
-                    buffer.seek(cursor)) {
-                    // Mid-replay resume: the prefix was consumed by
-                    // the interrupted run; its effects live in the
-                    // restored predictor/engine state.
-                } else {
-                    warn("mid-cell checkpoint for (", row_name, ", ",
-                         name, ") is unusable; replaying the cell "
-                         "from the start");
-                    predictor = makePredictor(name, options.factory);
-                    session = ReplaySession(options.engine);
-                    buffer.rewind();
-                }
-                progress.partial = PartialCell{};
-            }
-
-            if (checkpointing && options.checkpointEvery > 0) {
-                for (;;) {
-                    const std::uint64_t ran = session.run(
-                        buffer, *predictor, options.checkpointEvery);
-                    if (ran < options.checkpointEvery)
-                        break;
-                    progress.partial = capturePartialCell(
-                        row_name, name, buffer.cursor(), *predictor,
-                        session);
-                    writeSuiteProgress(options, progress);
-                }
-            } else {
-                session.run(buffer, *predictor);
-            }
-
-            obs::ProbeRegistry probes;
-            session.snapshotProbes(probes, *predictor);
-            CellResult cell = cellFromMetrics(session.metrics());
-            cell.cpuSeconds = obs::threadCpuSeconds() - cpu_start;
-            cell.wallSeconds = secondsSince(cell_start);
-            result.probes[name].merge(probes);
-            row.push_back(cell);
-            obs::Timeline cell_timeline = session.takeTimeline();
-            if (checkpointing) {
-                progress.partial = PartialCell{};
-                CompletedCell done;
-                done.row = row_name;
-                done.col = name;
-                done.cell = cell;
-                done.probes = std::move(probes);
-                done.timeline = cell_timeline;
-                progress.cells.push_back(std::move(done));
-                writeSuiteProgress(options, progress);
-            }
-            if (cell_timeline.interval() > 0)
-                result.timelines[row_name][name] =
-                    std::move(cell_timeline);
-        }
-        result.cells.push_back(std::move(row));
-    }
-    if (timing) {
-        timing->wallSeconds = secondsSince(wall_start);
-        timing->serialEquivalentSeconds = timing->wallSeconds;
-        timing->traceGenSeconds = trace_gen;
-        timing->threadsUsed = 1;
-    }
-    return result;
-}
-
-/**
- * The parallel one-pass path: one task per benchmark row.  Each task
- * decodes the row's memoized packed trace once — chunk by chunk into a
- * stack ring — and feeds every predictor column from the shared
- * decode, so the per-cell decode cost of the cell-sharded path is paid
- * once per row.  Rows are independent (own predictors, own cursor, own
- * drivers), so the matrix stays bitwise invariant to scheduling and
- * thread count; results and probes are collected in row order off
- * futures, giving the same merge order as the serial paths.
- */
-SuiteResult
-runSuiteOnePassParallel(
-    const std::vector<workload::BenchmarkProfile> &profiles,
-    const std::vector<std::string> &predictor_names,
-    const SuiteOptions &options, SuiteTiming *timing,
-    unsigned threads)
-{
-    SuiteResult result;
-    result.predictorNames = predictor_names;
-    result.rowNames.reserve(profiles.size());
-    for (const auto &profile : profiles)
-        result.rowNames.push_back(profile.fullName());
-
-    struct RowOutput
-    {
-        std::vector<CellResult> cells;
-        std::vector<obs::ProbeRegistry> probes;
-        std::vector<obs::Timeline> timelines; ///< per column
-        double genSeconds = 0;
-        double cpuSeconds = 0; ///< whole task: gen + decode + replay
-    };
-
-    const double wall_start = obs::wallSeconds();
-    std::vector<std::future<RowOutput>> futures;
-    futures.reserve(profiles.size());
-    {
-        util::ThreadPool pool(threads);
-        for (std::size_t r = 0; r < profiles.size(); ++r) {
-            futures.push_back(pool.submit([&profiles,
-                                           &predictor_names, &options,
-                                           r] {
-                const double cpu_start = obs::threadCpuSeconds();
-                obs::ScopedTraceSpan row_span(
-                    profiles[r].fullName() + " / one-pass row",
-                    "cell");
-                RowOutput output;
-                const auto buffer = generateTraceCached(
-                    profiles[r], options.traceScale,
-                    &output.genSeconds);
-                trace::PackedReplaySource source(*buffer);
-                auto columns =
-                    makeOnePassColumns(predictor_names, options);
-                std::vector<trace::BranchRecord> ring(kOnePassChunk);
-                std::size_t n = 0;
-                while ((n = source.nextBatch(ring.data(),
-                                             ring.size())) != 0)
-                    feedOnePassChunk(columns, ring.data(), n);
-                output.probes.resize(columns.size());
-                output.timelines.resize(columns.size());
-                output.cells.reserve(columns.size());
-                for (std::size_t c = 0; c < columns.size(); ++c) {
-                    columns[c].driver->finishTimeline();
-                    columns[c].driver->snapshotProbes(
-                        output.probes[c]);
-                    CellResult cell = cellFromMetrics(
-                        columns[c].driver->metrics());
-                    cell.wallSeconds = columns[c].wallSeconds;
-                    cell.cpuSeconds = columns[c].cpuSeconds;
-                    output.cells.push_back(cell);
-                    output.timelines[c] =
-                        columns[c].driver->takeTimeline();
-                }
-                output.cpuSeconds =
-                    obs::threadCpuSeconds() - cpu_start;
-                return output;
-            }));
-        }
-
         double serial_equivalent = 0;
-        double trace_gen = 0;
-        for (std::size_t r = 0; r < futures.size(); ++r) {
-            RowOutput output = futures[r].get();
-            for (std::size_t c = 0; c < predictor_names.size(); ++c) {
-                result.probes[predictor_names[c]].merge(
-                    output.probes[c]);
-                if (output.timelines[c].interval() > 0)
-                    result.timelines[result.rowNames[r]]
-                                    [predictor_names[c]] =
-                        std::move(output.timelines[c]);
+        unsigned threads_used = 1;
+        if (threads <= 1) {
+            for (const SuiteTask &task : tasks_)
+                merge(task, runTask(task, true));
+        } else {
+            util::ThreadPool pool(threads);
+            threads_used = pool.threadCount();
+            std::vector<std::future<TaskOutput>> futures;
+            futures.reserve(tasks_.size());
+            for (const SuiteTask &task : tasks_)
+                futures.push_back(pool.submit(
+                    [this, &task] { return runTask(task, false); }));
+            for (std::size_t i = 0; i < tasks_.size(); ++i) {
+                TaskOutput output = futures[i].get();
+                serial_equivalent += output.cpuSeconds;
+                merge(tasks_[i], std::move(output));
             }
-            result.cells.push_back(std::move(output.cells));
-            serial_equivalent += output.cpuSeconds;
-            trace_gen += output.genSeconds;
         }
         if (timing) {
-            timing->serialEquivalentSeconds = serial_equivalent;
-            timing->traceGenSeconds = trace_gen;
-            timing->threadsUsed = pool.threadCount();
+            timing->wallSeconds = secondsSince(wall_start);
+            timing->serialEquivalentSeconds =
+                threads_used <= 1 ? timing->wallSeconds
+                                  : serial_equivalent;
+            timing->traceGenSeconds = 0;
+            for (const auto &trace : traces_)
+                if (trace)
+                    timing->traceGenSeconds += trace->genSeconds();
+            timing->threadsUsed = threads_used;
+        }
+        return std::move(result_);
+    }
+
+  private:
+    /**
+     * Place every cell the progress file already holds and queue a
+     * task for the rest: one per cell, or one per row (its remaining
+     * columns) in one-pass mode.  A fully resumed row needs no trace.
+     */
+    void
+    enumerateTasks()
+    {
+        for (std::size_t r = 0; r < profiles_.size(); ++r) {
+            std::vector<std::size_t> todo;
+            for (std::size_t c = 0; c < names_.size(); ++c) {
+                const CompletedCell *done =
+                    checkpointing_
+                        ? progress_.find(result_.rowNames[r], names_[c])
+                        : nullptr;
+                if (done)
+                    place(r, c, done->cell, done->probes, done->timeline);
+                else
+                    todo.push_back(c);
+            }
+            if (todo.empty())
+                continue;
+            if (options_.onePass) {
+                tasks_.push_back(SuiteTask{r, todo});
+            } else {
+                for (std::size_t c : todo)
+                    tasks_.push_back(SuiteTask{r, {c}});
+            }
+            traces_[r] = std::make_unique<RowTrace>(
+                profiles_[r], options_.traceScale,
+                options_.onePass ? 1 : todo.size());
         }
     }
-    if (timing)
-        timing->wallSeconds = secondsSince(wall_start);
-    return result;
-}
+
+    TaskOutput
+    runTask(const SuiteTask &task, bool inline_run)
+    {
+        const double cpu_start = obs::threadCpuSeconds();
+        TaskOutput output;
+        RowTrace &trace = *traces_[task.row];
+        const trace::TraceBuffer &records = trace.acquire();
+        if (options_.onePass)
+            output.cells = runRow(task, records);
+        else
+            output.cells.push_back(
+                runCell(task.row, task.cols.front(), records, inline_run));
+        trace.release();
+        output.cpuSeconds = obs::threadCpuSeconds() - cpu_start;
+        return output;
+    }
+
+    /**
+     * A cell task: one predictor over the row's trace, resuming from
+     * the progress file's mid-cell snapshot when it names this cell.
+     * Inline, with checkpointEvery set, it snapshots itself into the
+     * progress file every checkpointEvery records.
+     */
+    CellOutput
+    runCell(std::size_t r, std::size_t c, const trace::TraceBuffer &records,
+            bool inline_run)
+    {
+        const std::string &row_name = result_.rowNames[r];
+        const std::string &name = names_[c];
+        obs::ScopedTraceSpan cell_span(row_name + " / " + name, "cell");
+        auto predictor = makePredictor(name, options_.factory);
+        ReplaySession session(options_.engine);
+        trace::ReplaySource source(records);
+        const double wall_start = obs::wallSeconds();
+        const double cpu_start = obs::threadCpuSeconds();
+
+        if (resume_.valid && resume_.row == row_name &&
+            resume_.col == name &&
+            !(restorePartialCell(resume_, *predictor, session) &&
+              source.seek(resume_.cursor))) {
+            warn("mid-cell checkpoint for (", row_name, ", ", name,
+                 ") is unusable; replaying the cell from the start");
+            predictor = makePredictor(name, options_.factory);
+            session = ReplaySession(options_.engine);
+            source.rewind();
+        }
+
+        const std::uint64_t every = options_.checkpointEvery;
+        if (inline_run && checkpointing_ && every > 0) {
+            while (session.run(source, *predictor, every) == every) {
+                progress_.partial = capturePartialCell(
+                    row_name, name, source.cursor(), *predictor, session);
+                writeSuiteProgress(options_, progress_);
+            }
+        } else {
+            session.run(source, *predictor);
+        }
+
+        CellOutput output;
+        output.col = c;
+        session.snapshotProbes(output.probes, *predictor);
+        output.cell = cellFromMetrics(session.metrics());
+        output.cell.cpuSeconds = obs::threadCpuSeconds() - cpu_start;
+        output.cell.wallSeconds = secondsSince(wall_start);
+        output.timeline = session.takeTimeline();
+        return output;
+    }
+
+    /**
+     * A one-pass row task: every remaining column's session is fed the
+     * same chunk of the row's trace in turn, so the records are read
+     * once per row.  Each cell is timed over its own feeds.
+     */
+    std::vector<CellOutput>
+    runRow(const SuiteTask &task, const trace::TraceBuffer &records)
+    {
+        obs::ScopedTraceSpan row_span(
+            result_.rowNames[task.row] + " / one-pass row", "cell");
+        struct Column
+        {
+            std::unique_ptr<pred::IndirectPredictor> predictor;
+            ReplaySession session;
+            double wallSeconds = 0;
+            double cpuSeconds = 0;
+        };
+        std::vector<Column> columns;
+        columns.reserve(task.cols.size());
+        for (std::size_t c : task.cols)
+            columns.push_back(
+                Column{makePredictor(names_[c], options_.factory),
+                       ReplaySession(options_.engine)});
+
+        trace::ReplaySource source(records);
+        const trace::BranchRecord *span = nullptr;
+        std::size_t n = 0;
+        while ((n = source.nextSpan(span)) != 0) {
+            for (std::size_t off = 0; off < n; off += kOnePassChunk) {
+                const std::size_t len = std::min(kOnePassChunk, n - off);
+                for (Column &column : columns) {
+                    const double wall_start = obs::wallSeconds();
+                    const double cpu_start = obs::threadCpuSeconds();
+                    column.session.feed(span + off, len,
+                                        *column.predictor);
+                    column.cpuSeconds +=
+                        obs::threadCpuSeconds() - cpu_start;
+                    column.wallSeconds += secondsSince(wall_start);
+                }
+            }
+        }
+
+        std::vector<CellOutput> outputs(columns.size());
+        for (std::size_t i = 0; i < columns.size(); ++i) {
+            Column &column = columns[i];
+            CellOutput &output = outputs[i];
+            column.session.finishTimeline(*column.predictor);
+            output.col = task.cols[i];
+            column.session.snapshotProbes(output.probes,
+                                          *column.predictor);
+            output.cell = cellFromMetrics(column.session.metrics());
+            output.cell.wallSeconds = column.wallSeconds;
+            output.cell.cpuSeconds = column.cpuSeconds;
+            output.timeline = column.session.takeTimeline();
+        }
+        return outputs;
+    }
+
+    /** Enter one finished cell into the result. */
+    void
+    place(std::size_t r, std::size_t c, const CellResult &cell,
+          const obs::ProbeRegistry &probes, const obs::Timeline &timeline)
+    {
+        result_.cells[r][c] = cell;
+        result_.probes[names_[c]].merge(probes);
+        if (timeline.interval() > 0)
+            result_.timelines[result_.rowNames[r]][names_[c]] = timeline;
+    }
+
+    /**
+     * Merge a task's cells (the one merge path, in submission order),
+     * then record them in the progress file.  Probe registries merge
+     * by summation, so the result does not depend on which cells were
+     * resumed.
+     */
+    void
+    merge(const SuiteTask &task, TaskOutput output)
+    {
+        for (CellOutput &out : output.cells) {
+            place(task.row, out.col, out.cell, out.probes, out.timeline);
+            if (!checkpointing_)
+                continue;
+            CompletedCell done;
+            done.row = result_.rowNames[task.row];
+            done.col = names_[out.col];
+            done.cell = out.cell;
+            done.probes = std::move(out.probes);
+            done.timeline = std::move(out.timeline);
+            progress_.cells.push_back(std::move(done));
+        }
+        if (checkpointing_) {
+            progress_.partial = PartialCell{};
+            writeSuiteProgress(options_, progress_);
+        }
+    }
+
+    const std::vector<workload::BenchmarkProfile> &profiles_;
+    const std::vector<std::string> &names_;
+    const SuiteOptions &options_;
+    const bool checkpointing_;
+    SuiteResult result_;
+    SuiteProgress progress_;
+    PartialCell resume_; ///< mid-cell snapshot to restore (read-only)
+    std::vector<SuiteTask> tasks_;
+    std::vector<std::unique_ptr<RowTrace>> traces_; ///< null: no tasks
+};
 
 } // namespace
 
@@ -701,161 +508,7 @@ runSuite(const std::vector<workload::BenchmarkProfile> &profiles,
          const std::vector<std::string> &predictor_names,
          const SuiteOptions &options, SuiteTiming *timing)
 {
-    const unsigned resolved =
-        util::ThreadPool::resolveThreads(options.threads);
-    if (resolved <= 1)
-        return runSuiteSerial(profiles, predictor_names, options,
-                              timing);
-    return runSuiteParallel(profiles, predictor_names, options, timing);
-}
-
-SuiteResult
-runSuiteParallel(const std::vector<workload::BenchmarkProfile> &profiles,
-                 const std::vector<std::string> &predictor_names,
-                 const SuiteOptions &options, SuiteTiming *timing)
-{
-    const unsigned threads =
-        util::ThreadPool::resolveThreads(options.threads);
-
-    if (options.onePass) {
-        if (options.checkpointPath.empty())
-            return runSuiteOnePassParallel(profiles, predictor_names,
-                                           options, timing, threads);
-        warn("one-pass suite mode does not support checkpointing; "
-             "using the per-cell path");
-    }
-
-    const std::size_t rows = profiles.size();
-    const std::size_t cols = predictor_names.size();
-
-    SuiteResult result;
-    result.predictorNames = predictor_names;
-    result.rowNames.reserve(rows);
-    for (const auto &profile : profiles)
-        result.rowNames.push_back(profile.fullName());
-    result.cells.assign(rows, std::vector<CellResult>(cols));
-
-    const bool checkpointing = !options.checkpointPath.empty();
-    SuiteProgress progress;
-    if (checkpointing) {
-        progress.fingerprint =
-            suiteFingerprint(profiles, predictor_names, options);
-        loadSuiteProgressFor(options, progress);
-        // Mid-cell snapshots are a serial-path feature; a resumed
-        // partial cell is simply replayed whole here.
-        progress.partial = PartialCell{};
-    }
-
-    // One task per (row, column) cell.  Every task replays an
-    // immutable memoized trace through its own cursor into its own
-    // factory-fresh predictor and engine, so cells are independent and
-    // the matrix is bitwise invariant to scheduling order.
-    struct CellOutput
-    {
-        CellResult cell;
-        double genSeconds = 0;
-        obs::ProbeRegistry probes;
-        obs::Timeline timeline;
-    };
-
-    struct CellTask
-    {
-        std::size_t r;
-        std::size_t c;
-    };
-
-    const double wall_start = obs::wallSeconds();
-    std::vector<CellTask> tasks;
-    std::vector<std::future<CellOutput>> futures;
-    tasks.reserve(rows * cols);
-    futures.reserve(rows * cols);
-    {
-        util::ThreadPool pool(threads);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                if (checkpointing) {
-                    if (const CompletedCell *done = progress.find(
-                            result.rowNames[r], predictor_names[c])) {
-                        result.cells[r][c] = done->cell;
-                        result.probes[predictor_names[c]].merge(
-                            done->probes);
-                        if (done->timeline.interval() > 0)
-                            result.timelines[result.rowNames[r]]
-                                            [predictor_names[c]] =
-                                done->timeline;
-                        continue;
-                    }
-                }
-                tasks.push_back(CellTask{r, c});
-                futures.push_back(pool.submit([&profiles,
-                                               &predictor_names,
-                                               &options, r, c] {
-                    // Thread-CPU time covers this cell's simulation
-                    // plus any trace generation it performed; cache
-                    // waiters burn ~no CPU while blocked, so the sum
-                    // over cells reconstructs the serial cost without
-                    // double-counting or oversubscription inflation.
-                    const double cell_start = obs::wallSeconds();
-                    const double cpu_start = obs::threadCpuSeconds();
-                    obs::ScopedTraceSpan cell_span(
-                        profiles[r].fullName() + " / " +
-                            predictor_names[c],
-                        "cell");
-                    CellOutput output;
-                    const auto buffer = generateTraceCached(
-                        profiles[r], options.traceScale,
-                        &output.genSeconds);
-                    trace::PackedReplaySource source(*buffer);
-                    auto predictor = makePredictor(predictor_names[c],
-                                                   options.factory);
-                    Engine engine(options.engine);
-                    output.cell = cellFromMetrics(
-                        engine.run(source, *predictor, &output.probes,
-                                   &output.timeline));
-                    output.cell.cpuSeconds =
-                        obs::threadCpuSeconds() - cpu_start;
-                    output.cell.wallSeconds = secondsSince(cell_start);
-                    return output;
-                }));
-            }
-        }
-
-        double serial_equivalent = 0;
-        double trace_gen = 0;
-        // Futures resolve in submission order; completed-cell probes
-        // merged above and these merge by summation, so the final
-        // registries are independent of which cells were resumed.
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            CellOutput output = futures[i].get();
-            const auto [r, c] = tasks[i];
-            result.cells[r][c] = output.cell;
-            result.probes[predictor_names[c]].merge(output.probes);
-            serial_equivalent += output.cell.cpuSeconds;
-            trace_gen += output.genSeconds;
-            if (checkpointing) {
-                CompletedCell done;
-                done.row = result.rowNames[r];
-                done.col = predictor_names[c];
-                done.cell = output.cell;
-                done.probes = std::move(output.probes);
-                done.timeline = output.timeline;
-                progress.cells.push_back(std::move(done));
-                writeSuiteProgress(options, progress);
-            }
-            if (output.timeline.interval() > 0)
-                result.timelines[result.rowNames[r]]
-                                [predictor_names[c]] =
-                    std::move(output.timeline);
-        }
-        if (timing) {
-            timing->serialEquivalentSeconds = serial_equivalent;
-            timing->traceGenSeconds = trace_gen;
-            timing->threadsUsed = pool.threadCount();
-        }
-    }
-    if (timing)
-        timing->wallSeconds = secondsSince(wall_start);
-    return result;
+    return SuiteScheduler(profiles, predictor_names, options).run(timing);
 }
 
 SeedSweepResult
@@ -973,11 +626,6 @@ reportSkeleton(const std::string &tool, const SuiteOptions &options,
     report.serialEquivalentSeconds = timing.serialEquivalentSeconds;
     report.traceGenSeconds = timing.traceGenSeconds;
     report.threadsUsed = timing.threadsUsed;
-
-    obs::ProbeRegistry cache;
-    cache.counter("hits", traceCacheHits());
-    cache.counter("misses", traceCacheMisses());
-    report.probes.emplace("trace_cache", std::move(cache));
     return report;
 }
 

@@ -7,16 +7,19 @@
  * it through a list of factory-built predictors, producing the
  * benchmark x predictor misprediction matrix the paper plots.
  *
- * Two execution paths produce bit-identical matrices:
- *  - the legacy serial path (SuiteOptions::threads == 1), one cell at
- *    a time, and
- *  - a deterministic parallel path sharding at (benchmark row,
- *    predictor column) cell granularity over a fixed-size ThreadPool.
- * Each parallel cell builds its own factory-fresh predictor and
- * Engine and replays an immutable, memoized trace through a private
- * cursor, so no simulation state is shared and results do not depend
- * on scheduling order (enforced by tests/test_parallel_suite.cc and
- * the golden fixture in tests/golden/).
+ * One scheduler runs every suite.  It enumerates tasks — one per
+ * (benchmark row, predictor column) cell, or one per row when
+ * SuiteOptions::onePass is set — skipping cells a resumed progress
+ * file already holds.  With one worker the tasks run inline on the
+ * caller's thread; otherwise on a fixed-size ThreadPool.  Either way
+ * each row's trace is generated once, shared read-only by the row's
+ * tasks (each through its own cursor into a factory-fresh predictor
+ * and ReplaySession), and released after the row's last task; outputs
+ * merge in submission order.  No simulation state is shared, so the
+ * matrix is bit-identical for every thread count and task kind
+ * (enforced by tests/test_parallel_suite.cc,
+ * tests/test_one_pass_suite.cc and the golden fixtures in
+ * tests/golden/).
  */
 
 #ifndef IBP_SIM_EXPERIMENT_HH_
@@ -25,11 +28,10 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "trace/packed_trace.hh"
+#include "trace/trace_buffer.hh"
 #include "obs/registry.hh"
 #include "obs/report.hh"
 #include "workload/profiles.hh"
@@ -44,10 +46,10 @@ struct SuiteOptions
 {
     double traceScale = 1.0; ///< multiplies each profile's record count
     /**
-     * Worker threads for the suite matrix: 1 (default) runs the legacy
-     * serial path, 0 uses hardware concurrency, any other value that
-     * many workers.  The resulting matrix is bit-identical for every
-     * setting.
+     * Worker threads for the suite matrix: 1 (default) runs every task
+     * inline on the caller's thread, 0 uses hardware concurrency, any
+     * other value that many pool workers.  The resulting matrix is
+     * bit-identical for every setting.
      */
     unsigned threads = 1;
     FactoryOptions factory;
@@ -65,11 +67,14 @@ struct SuiteOptions
     std::string checkpointPath;
 
     /**
-     * Mid-cell checkpoint cadence in replayed records (serial path
-     * only; 0 = cell granularity).  Every @c checkpointEvery records
-     * the in-flight cell's full simulation state is snapshotted into
-     * the progress file, so even a single long cell resumes mid-replay
-     * instead of restarting.
+     * Mid-cell checkpoint cadence in replayed records (0 = cell
+     * granularity).  Every @c checkpointEvery records the in-flight
+     * cell's full simulation state is snapshotted into the progress
+     * file, so even a single long cell resumes mid-replay instead of
+     * restarting.  Snapshots are taken by cell tasks run inline
+     * (threads resolving to 1); a snapshot found on resume is
+     * restored by the cell's task at any thread count, while a
+     * one-pass row task replays that cell from the start.
      */
     std::uint64_t checkpointEvery = 0;
 
@@ -77,17 +82,16 @@ struct SuiteOptions
     bool resume = false;
 
     /**
-     * One-pass-many-predictors replay: generate/decode each
-     * benchmark's trace once and feed every predictor column from the
-     * shared records (in chunks, so the stream stays cache-resident),
-     * instead of re-reading the trace once per cell.  Amortizes the
-     * trace generation/decode cost across the whole row on both the
-     * serial and the row-sharded parallel path.  Results are
-     * bit-identical to the per-cell paths — the replay loop carries no
-     * cross-chunk state beyond each driver's RAS/metrics/predictor —
-     * and invariant to thread count.  Incompatible with checkpointing
-     * (cells finish together, so there is no per-cell completion
-     * order); a run requesting both warns and uses the per-cell path.
+     * One-pass-many-predictors replay: schedule one task per row
+     * instead of one per cell.  A row task reads the row's trace once
+     * and feeds every remaining predictor column from the shared
+     * records (in chunks, so the stream stays cache-resident), instead
+     * of re-reading the trace once per cell.  Results are bit-identical
+     * to cell tasks — the replay loop carries no cross-chunk state
+     * beyond each session's RAS/metrics/predictor — and invariant to
+     * thread count.  Checkpointing works at row granularity: a
+     * finished row's cells enter the progress file together, and a
+     * resumed run skips every completed cell.
      */
     bool onePass = false;
 };
@@ -97,12 +101,12 @@ struct SuiteTiming
 {
     double wallSeconds = 0;
     /**
-     * Sum of per-cell simulation time plus each unique trace
-     * generation — what the same work would have cost on the serial
-     * path.  On the serial path this equals wallSeconds.
+     * Summed thread-CPU time of every task, each row's one trace
+     * generation included — what the same work would have cost on
+     * one thread.  When the tasks run inline this equals wallSeconds.
      */
     double serialEquivalentSeconds = 0;
-    /** Time spent generating (not replaying) unique traces. */
+    /** Time spent generating (not replaying) traces, once per row. */
     double traceGenSeconds = 0;
     unsigned threadsUsed = 1;
 
@@ -121,7 +125,9 @@ struct CellResult
     double noPredictionPercent = 0;
     std::uint64_t predictions = 0;
     double wallSeconds = 0; ///< this cell's replay wall time
-    double cpuSeconds = 0;  ///< thread-CPU time incl. any trace gen
+    /** Thread-CPU time of this cell's replay alone; trace generation
+     *  is counted once per row, in SuiteTiming::traceGenSeconds. */
+    double cpuSeconds = 0;
 };
 
 /** The full matrix. */
@@ -159,68 +165,21 @@ struct SuiteResult
 trace::TraceBuffer generateTrace(const workload::BenchmarkProfile &,
                                  double trace_scale = 1.0);
 
-/**
- * Memoized generateTrace(): returns an immutable, shared trace for
- * (profile name, workload seed, record count, scale), generating it at
- * most once per cache residency even under concurrent requests — the
- * first caller generates while later callers block on the same entry.
- * The cache is process-global, mutex-guarded and LRU-bounded (see
- * setTraceCacheCapacity); eviction never invalidates already-returned
- * buffers, it only drops the cache's own reference.
- *
- * Cached traces are held packed (16 bytes/record instead of 24) —
- * halving both resident cache memory and the bandwidth each replaying
- * cell pulls; replay through a trace::PackedReplaySource cursor.
- *
- * @param generation_seconds when non-null, receives the time this call
- *        spent actually generating (0 on a cache hit or when another
- *        thread generated the entry)
- */
-std::shared_ptr<const trace::PackedTraceBuffer>
-generateTraceCached(const workload::BenchmarkProfile &,
-                    double trace_scale = 1.0,
-                    double *generation_seconds = nullptr);
-
-/** Drop every cached trace (tests; long-lived tools between sweeps). */
-void clearTraceCache();
-
-/** Number of traces currently resident in the cache. */
-std::size_t traceCacheSize();
-
-/** Cap the cache at @p max_entries traces (>= 1); evicts LRU-first. */
-void setTraceCacheCapacity(std::size_t max_entries);
-
-/** Cumulative cache hits / generating misses (process lifetime). */
-std::uint64_t traceCacheHits();
-std::uint64_t traceCacheMisses();
-
 /** Run one profile x one predictor; returns the full metrics. */
 RunMetrics runOne(const workload::BenchmarkProfile &profile,
                   const std::string &predictor_name,
                   const SuiteOptions &options = {});
 
 /**
- * Run the full matrix, dispatching on SuiteOptions::threads: the
- * legacy serial path when it resolves to one worker, otherwise
- * runSuiteParallel().  @p timing, when non-null, receives wall-clock
- * accounting for the run.
+ * Run the full matrix with the suite scheduler (see the file comment):
+ * cell or row tasks, inline when SuiteOptions::threads resolves to one
+ * worker, otherwise on a ThreadPool.  @p timing, when non-null,
+ * receives wall-clock accounting for the run.
  */
 SuiteResult runSuite(const std::vector<workload::BenchmarkProfile> &,
                      const std::vector<std::string> &predictor_names,
                      const SuiteOptions &options = {},
                      SuiteTiming *timing = nullptr);
-
-/**
- * The parallel path: shards the matrix at cell granularity over a
- * ThreadPool of SuiteOptions::threads workers (0 = hardware
- * concurrency).  Bit-identical to the serial path for any worker
- * count; results are collected in submission order off futures.
- */
-SuiteResult
-runSuiteParallel(const std::vector<workload::BenchmarkProfile> &,
-                 const std::vector<std::string> &predictor_names,
-                 const SuiteOptions &options = {},
-                 SuiteTiming *timing = nullptr);
 
 /** Mean and spread of suite averages over re-seeded workloads. */
 struct SeedSweepResult
@@ -265,8 +224,8 @@ double paperAverageFor(const std::string &predictor);
 
 /**
  * Flatten a suite run into the versioned obs::RunReport shape
- * (matrix cells, per-predictor probe registries, timing, trace-cache
- * counters under "trace_cache", build metadata).  @p tool names the
+ * (matrix cells, per-predictor probe registries, timelines, timing,
+ * build metadata).  @p tool names the
  * emitting driver ("bench_fig6", ...).
  */
 obs::RunReport buildRunReport(const std::string &tool,

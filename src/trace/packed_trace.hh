@@ -182,9 +182,8 @@ class PackedReplaySource : public BranchSource
   public:
     /** Records unpacked per nextSpan() call.  A few thousand records
      *  amortize the per-span virtual call and driver overhead to
-     *  nothing and keep the engine's replay lookahead (prefetch)
-     *  effective deep into the span; the decode ring (96 KiB) plus
-     *  the packed run it reads (64 KiB) stay L2-resident. */
+     *  nothing; the decode ring (96 KiB) plus the packed run it
+     *  reads (64 KiB) stay L2-resident. */
     static constexpr std::size_t kSpanRecords = 4096;
 
     explicit PackedReplaySource(const PackedTraceBuffer &buffer)

@@ -68,7 +68,6 @@ goldenProfiles()
 SuiteResult
 runGolden(unsigned threads)
 {
-    clearTraceCache();
     SuiteOptions options;
     options.traceScale = kScale;
     options.threads = threads;

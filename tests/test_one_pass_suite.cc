@@ -5,7 +5,8 @@
  * The one-pass runner (SuiteOptions::onePass) feeds every predictor
  * column from one shared trace stream; its whole value proposition
  * rests on producing the *bit-identical* matrix and probe registries
- * the per-cell paths produce, for any thread count.  Separately, the
+ * cell tasks produce, for any thread count and across checkpoint/
+ * resume.  Separately, the
  * engine's devirtualized fused replay loops (Dpath / Cascade /
  * Filtered-PPM) are checked against a split predict()-then-update()
  * reference replay over every committed adversarial regression
@@ -19,13 +20,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/serde.hh"
 #include "workload/adversarial.hh"
 #include "workload/profiles.hh"
 #include "predictors/ras.hh"
+#include "sim/checkpoint.hh"
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
 #include "sim/factory.hh"
@@ -98,14 +102,7 @@ expectIdentical(const SuiteResult &expected, const SuiteResult &actual,
     }
 }
 
-class OnePassSuite : public ::testing::Test
-{
-  protected:
-    void SetUp() override { clearTraceCache(); }
-    void TearDown() override { clearTraceCache(); }
-};
-
-TEST_F(OnePassSuite, SerialMatchesPerCellBitwise)
+TEST(OnePassSuite, SerialMatchesPerCellBitwise)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -120,7 +117,7 @@ TEST_F(OnePassSuite, SerialMatchesPerCellBitwise)
     EXPECT_GT(timing.wallSeconds, 0.0);
 }
 
-TEST_F(OnePassSuite, ParallelThreadCountsBitIdentical)
+TEST(OnePassSuite, ParallelThreadCountsBitIdentical)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -139,26 +136,74 @@ TEST_F(OnePassSuite, ParallelThreadCountsBitIdentical)
     }
 }
 
-TEST_F(OnePassSuite, CheckpointRequestFallsBackToPerCell)
+/** Every cell's timeline as canonical bytes, [row x predictor]. */
+std::map<std::string, std::vector<std::uint8_t>>
+timelineBytes(const SuiteResult &result)
 {
-    // One-pass has no per-cell completion order, so a run asking for
-    // both must warn and take the per-cell path — producing the same
-    // matrix and a usable progress file, not a crash or a silent
-    // wrong answer.
+    std::map<std::string, std::vector<std::uint8_t>> bytes;
+    for (const auto &[row, columns] : result.timelines)
+        for (const auto &[predictor, timeline] : columns) {
+            ibp::util::StateWriter writer;
+            timeline.saveState(writer);
+            bytes[row + " x " + predictor] = writer.bytes();
+        }
+    return bytes;
+}
+
+TEST(OnePassSuite, ResumesFromFinishedRowPrefix)
+{
+    // A one-pass run records each finished row in the progress file.
+    // Cut a complete file back to its first row — what a run killed
+    // during the second row leaves — and resume: the result must be
+    // the uninterrupted run's, timelines included, with no warning.
     const auto suite = miniSuite();
     SuiteOptions options;
     options.threads = 1;
-    const auto per_cell = runSuite(suite, kPredictors, options);
+    options.onePass = true;
+    options.engine.timeline.interval = 2000;
+    const auto uninterrupted = runSuite(suite, kPredictors, options);
+    ASSERT_EQ(timelineBytes(uninterrupted).size(),
+              suite.size() * kPredictors.size());
 
     const std::string path =
-        (fs::temp_directory_path() / "ibp_one_pass_fallback.ckpt")
-            .string();
-    std::remove(path.c_str());
-    options.onePass = true;
-    options.checkpointPath = path;
-    const auto fallback = runSuite(suite, kPredictors, options);
-    expectIdentical(per_cell, fallback, "one-pass + checkpoint");
-    EXPECT_TRUE(fs::exists(path));
+        (fs::temp_directory_path() / "ibp_one_pass_resume.ckpt").string();
+    for (unsigned threads : {1u, 4u}) {
+        const std::string label =
+            "one-pass resume threads=" + std::to_string(threads);
+        std::remove(path.c_str());
+        SuiteOptions checkpointed = options;
+        checkpointed.threads = threads;
+        checkpointed.checkpointPath = path;
+        runSuite(suite, kPredictors, checkpointed);
+
+        std::vector<std::uint8_t> bytes;
+        ASSERT_TRUE(readCheckpointFile(path, bytes).ok()) << label;
+        SuiteProgress progress;
+        ASSERT_TRUE(decodeSuiteProgress(bytes, progress).ok()) << label;
+        ASSERT_EQ(progress.cells.size(),
+                  suite.size() * kPredictors.size())
+            << label;
+        progress.cells.resize(kPredictors.size());
+        for (const CompletedCell &done : progress.cells)
+            ASSERT_EQ(done.row, suite.front().fullName()) << label;
+        ASSERT_TRUE(
+            writeCheckpointFile(path, encodeSuiteProgress(progress)).ok())
+            << label;
+
+        checkpointed.resume = true;
+        ibp::util::resetWarnCount();
+        const auto resumed = runSuite(suite, kPredictors, checkpointed);
+        EXPECT_EQ(ibp::util::warnCount(), 0u) << label;
+        expectIdentical(uninterrupted, resumed, label);
+        EXPECT_EQ(timelineBytes(resumed), timelineBytes(uninterrupted))
+            << label;
+
+        ASSERT_TRUE(readCheckpointFile(path, bytes).ok()) << label;
+        ASSERT_TRUE(decodeSuiteProgress(bytes, progress).ok()) << label;
+        EXPECT_EQ(progress.cells.size(),
+                  suite.size() * kPredictors.size())
+            << label;
+    }
     std::remove(path.c_str());
 }
 
@@ -225,7 +270,7 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
 {
     // The fuzzer-pinned profiles are the workloads most likely to
     // expose a divergence between the fused fast paths (slot caching,
-    // prefetch, LUT hashing) and the plain split protocol: they were
+    // LUT hashing) and the plain split protocol: they were
     // selected for perverse target churn and ranking sensitivity.
     const auto paths = committedProfiles();
     ASSERT_FALSE(paths.empty());

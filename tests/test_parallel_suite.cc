@@ -64,14 +64,7 @@ expectIdentical(const SuiteResult &expected, const SuiteResult &actual,
     }
 }
 
-class ParallelSuite : public ::testing::Test
-{
-  protected:
-    void SetUp() override { clearTraceCache(); }
-    void TearDown() override { clearTraceCache(); }
-};
-
-TEST_F(ParallelSuite, ThreadCountsProduceBitIdenticalMatrices)
+TEST(ParallelSuite, ThreadCountsProduceBitIdenticalMatrices)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -87,7 +80,7 @@ TEST_F(ParallelSuite, ThreadCountsProduceBitIdenticalMatrices)
     }
 }
 
-TEST_F(ParallelSuite, RepeatedRunsShakeOutSchedulingDependence)
+TEST(ParallelSuite, RepeatedRunsShakeOutSchedulingDependence)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -105,7 +98,7 @@ TEST_F(ParallelSuite, RepeatedRunsShakeOutSchedulingDependence)
     }
 }
 
-TEST_F(ParallelSuite, ExplicitParallelEntryMatchesSerial)
+TEST(ParallelSuite, ExplicitParallelEntryMatchesSerial)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -113,15 +106,14 @@ TEST_F(ParallelSuite, ExplicitParallelEntryMatchesSerial)
 
     options.threads = 4;
     SuiteTiming timing;
-    const auto parallel =
-        runSuiteParallel(suite, kPredictors, options, &timing);
-    expectIdentical(serial, parallel, "runSuiteParallel");
+    const auto parallel = runSuite(suite, kPredictors, options, &timing);
+    expectIdentical(serial, parallel, "runSuite threads=4");
     EXPECT_EQ(timing.threadsUsed, 4u);
     EXPECT_GT(timing.wallSeconds, 0.0);
     EXPECT_GE(timing.serialEquivalentSeconds, 0.0);
 }
 
-TEST_F(ParallelSuite, ZeroThreadsResolvesToHardwareConcurrency)
+TEST(ParallelSuite, ZeroThreadsResolvesToHardwareConcurrency)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -136,7 +128,7 @@ TEST_F(ParallelSuite, ZeroThreadsResolvesToHardwareConcurrency)
     EXPECT_GE(timing.threadsUsed, 1u);
 }
 
-TEST_F(ParallelSuite, SerialTimingReportsSerialPath)
+TEST(ParallelSuite, SerialTimingReportsSerialPath)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
@@ -148,7 +140,7 @@ TEST_F(ParallelSuite, SerialTimingReportsSerialPath)
                      timing.serialEquivalentSeconds);
 }
 
-TEST_F(ParallelSuite, SeedSweepInvariantToThreads)
+TEST(ParallelSuite, SeedSweepInvariantToThreads)
 {
     const auto suite = miniSuite();
     SuiteOptions options;

@@ -217,7 +217,6 @@ TEST(ReportDiff, TimingAndProbeDeltasAreNotesOnly)
 obs::RunReport
 goldenReport()
 {
-    sim::clearTraceCache();
     const std::vector<std::string> profile_names = {"perl", "eon",
                                                     "gs.tig"};
     const std::vector<std::string> predictors = {

@@ -99,7 +99,6 @@ expectSameResult(const SuiteResult &want, const SuiteResult &got,
 SuiteResult
 runBaseline()
 {
-    clearTraceCache();
     return runSuite(testProfiles(), kPredictors, baseOptions());
 }
 
@@ -109,7 +108,6 @@ TEST(SuiteResume, UninterruptedCheckpointedRunMatchesPlainRun)
 
     SuiteOptions options = baseOptions();
     options.checkpointPath = scratchPath("plain");
-    clearTraceCache();
     const SuiteResult checkpointed =
         runSuite(testProfiles(), kPredictors, options);
     expectSameResult(baseline, checkpointed, "checkpointing on");
@@ -135,7 +133,6 @@ TEST(SuiteResume, ResumesFromHalfFinishedFile)
     // an interrupted run would have left: the first half of the cells.
     SuiteOptions options = baseOptions();
     options.checkpointPath = scratchPath("half");
-    clearTraceCache();
     runSuite(testProfiles(), kPredictors, options);
 
     std::vector<std::uint8_t> bytes;
@@ -148,7 +145,6 @@ TEST(SuiteResume, ResumesFromHalfFinishedFile)
                     .ok());
 
     options.resume = true;
-    clearTraceCache();
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     expectSameResult(baseline, resumed, "resume from half");
@@ -184,7 +180,6 @@ TEST(SuiteResume, ResumesMidCellFromPartialSnapshot)
                                     encodeSuiteProgress(progress))
                     .ok());
 
-    clearTraceCache();
     const SuiteResult resumed =
         runSuite(profiles, kPredictors, options);
     expectSameResult(baseline, resumed, "mid-cell resume");
@@ -204,7 +199,6 @@ TEST(SuiteResume, CorruptFileWarnsAndRunsFresh)
     }
 
     util::resetWarnCount();
-    clearTraceCache();
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     EXPECT_GE(util::warnCount(), 1u)
@@ -223,14 +217,12 @@ TEST(SuiteResume, ForeignFingerprintWarnsAndRunsFresh)
     SuiteOptions foreign = baseOptions();
     foreign.traceScale = 0.1;
     foreign.checkpointPath = scratchPath("foreign");
-    clearTraceCache();
     runSuite(testProfiles(), kPredictors, foreign);
 
     SuiteOptions options = baseOptions();
     options.checkpointPath = foreign.checkpointPath;
     options.resume = true;
     util::resetWarnCount();
-    clearTraceCache();
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     EXPECT_GE(util::warnCount(), 1u);
@@ -244,7 +236,6 @@ TEST(SuiteResume, MissingFileIsQuietOnFirstRun)
     options.checkpointPath = scratchPath("firstrun");
     options.resume = true; // resume requested, nothing to resume from
     util::resetWarnCount();
-    clearTraceCache();
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     EXPECT_EQ(util::warnCount(), 0u)
@@ -260,7 +251,6 @@ TEST(SuiteResume, ParallelRunnerResumesAtCellGranularity)
     SuiteOptions options = baseOptions();
     options.threads = 4;
     options.checkpointPath = scratchPath("parallel");
-    clearTraceCache();
     runSuite(testProfiles(), kPredictors, options);
 
     std::vector<std::uint8_t> bytes;
@@ -273,7 +263,6 @@ TEST(SuiteResume, ParallelRunnerResumesAtCellGranularity)
                     .ok());
 
     options.resume = true;
-    clearTraceCache();
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     expectSameResult(baseline, resumed, "parallel resume");
@@ -289,7 +278,6 @@ TEST(SuiteResume, MidCellCadenceDoesNotChangeResults)
     SuiteOptions options = baseOptions();
     options.checkpointPath = scratchPath("cadence");
     options.checkpointEvery = 700;
-    clearTraceCache();
     const SuiteResult chopped =
         runSuite(testProfiles(), kPredictors, options);
     expectSameResult(baseline, chopped, "checkpointEvery=700");

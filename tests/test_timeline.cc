@@ -310,7 +310,6 @@ timelineMatrixBytes(const SuiteResult &result)
 TEST(TimelineSuite, AllFourRunnerPathsProduceIdenticalBytes)
 {
     SuiteOptions options = timelineSuiteOptions();
-    clearTraceCache();
     const auto baseline = timelineMatrixBytes(
         runSuite(suiteProfiles(), kSuitePredictors, options));
     ASSERT_EQ(baseline.size(),
@@ -329,7 +328,6 @@ TEST(TimelineSuite, AllFourRunnerPathsProduceIdenticalBytes)
         SuiteOptions variant = timelineSuiteOptions();
         variant.threads = path.threads;
         variant.onePass = path.onePass;
-        clearTraceCache();
         const auto got = timelineMatrixBytes(
             runSuite(suiteProfiles(), kSuitePredictors, variant));
         EXPECT_EQ(got, baseline) << path.label;
@@ -416,7 +414,6 @@ runGoldenReport()
     options.engine.timeline.interval = 4000;
     options.engine.timeline.sampleProbes = false;
     SuiteTiming timing;
-    clearTraceCache();
     const SuiteResult result =
         runSuite(profiles, predictors, options, &timing);
     return buildRunReport("timeline_tool --emit-golden", options,
