@@ -19,23 +19,22 @@
 int
 main(int argc, char **argv)
 {
-    const double scale = ibp::bench::traceScale(argc, argv);
+    const auto options = ibp::bench::suiteOptions(argc, argv);
     ibp::bench::banner(
-        "Ablation: SFSXS select/pc-mix variants, TC streams", scale);
+        "Ablation: SFSXS select/pc-mix variants, TC streams", options);
 
     const auto suite = ibp::workload::standardSuite();
-    ibp::sim::SuiteOptions options;
-    options.traceScale = scale;
 
     const std::vector<std::string> predictors = {
         "PPM-hyb", "PPM-low", "PPM-gshare",
         "TC-PIB", "TC-IND", "TC-PB",
     };
+    ibp::sim::SuiteTiming timing;
     const auto result =
-        ibp::sim::runSuite(suite, predictors, options);
+        ibp::sim::runSuite(suite, predictors, options, &timing);
 
     std::cout << '\n';
-    ibp::sim::printSuiteTable(std::cout, result);
+    ibp::sim::printSuiteTable(std::cout, result, &timing);
 
     const auto averages = result.averages();
     std::cout << "\nPPM select variants: high-order "
@@ -46,5 +45,7 @@ main(int argc, char **argv)
     std::cout << "TC streams: MT-indirect " << averages[3]
               << "%, all-indirect " << averages[4] << "%, all-branch "
               << averages[5] << "%\n";
+    ibp::bench::writeTimelineTrace(ibp::sim::buildRunReport(
+        "bench_ablation_hash", options, result, timing));
     return 0;
 }

@@ -9,6 +9,8 @@
  */
 
 #include <cstdio>
+#include <iostream>
+#include <string>
 
 #include "bench_util.hh"
 #include "workload/profiles.hh"
@@ -32,9 +34,18 @@ main(int argc, char **argv)
         std::printf(" %9s", name.c_str());
     std::printf("   (suite-average misprediction %%)\n");
 
+    // Each sweep point keeps its own progress file, so every point of
+    // an interrupted sweep resumes (one shared file would only ever
+    // hold the last point's fingerprint).
+    const std::string checkpoint_path = options.checkpointPath;
     ibp::sim::SuiteTiming total;
     for (double factor : factors) {
         options.factory.sizeScale = factor;
+        if (!checkpoint_path.empty()) {
+            char suffix[32];
+            std::snprintf(suffix, sizeof(suffix), ".size%g", factor);
+            options.checkpointPath = checkpoint_path + suffix;
+        }
         ibp::sim::SuiteTiming timing;
         const auto result =
             ibp::sim::runSuite(suite, predictors, options, &timing);
@@ -49,7 +60,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    ibp::bench::timingFooter(total);
+    ibp::sim::printSuiteTimingFooter(std::cout, total);
     std::printf("\nExpected shape: every predictor improves with size;"
                 " path-indexed designs gain most below 1x (capacity-"
                 "bound), BTBs saturate early.\n");

@@ -19,24 +19,22 @@
 int
 main(int argc, char **argv)
 {
-    const double scale = ibp::bench::traceScale(argc, argv);
+    const auto options = ibp::bench::suiteOptions(argc, argv);
     ibp::bench::banner(
-        "Ablation: tagged PPM and filtered PPM (paper future work)",
-        scale);
+        "Ablation: tagged PPM and filtered PPM (paper future work)", options);
 
     const auto suite = ibp::workload::standardSuite();
-    ibp::sim::SuiteOptions options;
-    options.traceScale = scale;
 
     const std::vector<std::string> predictors = {
         "PPM-hyb", "PPM-tagged", "Filtered-PPM", "Cascade",
         "Cascade-strict",
     };
+    ibp::sim::SuiteTiming timing;
     const auto result =
-        ibp::sim::runSuite(suite, predictors, options);
+        ibp::sim::runSuite(suite, predictors, options, &timing);
 
     std::cout << '\n';
-    ibp::sim::printSuiteTable(std::cout, result);
+    ibp::sim::printSuiteTable(std::cout, result, &timing);
 
     const auto averages = result.averages();
     std::cout << "\nSuite averages: PPM-hyb " << averages[0]
@@ -57,5 +55,7 @@ main(int argc, char **argv)
                                        : "no recovery")
                   << ")\n";
     }
+    ibp::bench::writeTimelineTrace(ibp::sim::buildRunReport(
+        "bench_ablation_tagged", options, result, timing));
     return 0;
 }

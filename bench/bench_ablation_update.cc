@@ -19,22 +19,20 @@
 int
 main(int argc, char **argv)
 {
-    const double scale = ibp::bench::traceScale(argc, argv, 0.5);
+    const auto options = ibp::bench::suiteOptions(argc, argv, 0.5);
     ibp::bench::banner(
-        "Ablation: update exclusion and per-component confidence",
-        scale);
+        "Ablation: update exclusion and per-component confidence", options);
 
     const auto suite = ibp::workload::standardSuite();
-    ibp::sim::SuiteOptions options;
-    options.traceScale = scale;
 
     const std::vector<std::string> predictors = {
         "PPM-hyb", "PPM-inclusive", "PPM-confidence"};
+    ibp::sim::SuiteTiming timing;
     const auto result =
-        ibp::sim::runSuite(suite, predictors, options);
+        ibp::sim::runSuite(suite, predictors, options, &timing);
 
     std::cout << '\n';
-    ibp::sim::printSuiteTable(std::cout, result);
+    ibp::sim::printSuiteTable(std::cout, result, &timing);
 
     const auto averages = result.averages();
     std::cout << "\nSuite averages: exclusion " << averages[0]
@@ -45,7 +43,7 @@ main(int argc, char **argv)
     // the access distribution shifts on one profile.
     const auto *eon = ibp::workload::findProfile(suite, "eon");
     if (eon) {
-        auto trace = ibp::sim::generateTrace(*eon, scale);
+        auto trace = ibp::sim::generateTrace(*eon, options.traceScale);
         auto config = ibp::core::paperPpmConfig(
             ibp::core::PpmVariant::Hybrid);
         config.ppm.updatePolicy = ibp::core::UpdatePolicy::All;
@@ -57,5 +55,7 @@ main(int argc, char **argv)
                   << 100.0 * ppm.core().accessHistogram().fraction(10)
                   << "% (exclusion keeps it > 99%)\n";
     }
+    ibp::bench::writeTimelineTrace(ibp::sim::buildRunReport(
+        "bench_ablation_update", options, result, timing));
     return 0;
 }

@@ -23,22 +23,20 @@
 int
 main(int argc, char **argv)
 {
-    const double scale = ibp::bench::traceScale(argc, argv, 0.5);
+    const auto options = ibp::bench::suiteOptions(argc, argv, 0.5);
     ibp::bench::banner(
-        "Ablation: majority-vote Markov states & pipelined lookup",
-        scale);
+        "Ablation: majority-vote Markov states & pipelined lookup", options);
 
     const auto suite = ibp::workload::standardSuite();
-    ibp::sim::SuiteOptions options;
-    options.traceScale = scale;
 
     const std::vector<std::string> predictors = {
         "PPM-hyb", "PPM-vote2", "PPM-vote4"};
+    ibp::sim::SuiteTiming timing;
     const auto result =
-        ibp::sim::runSuite(suite, predictors, options);
+        ibp::sim::runSuite(suite, predictors, options, &timing);
 
     std::cout << '\n';
-    ibp::sim::printSuiteTable(std::cout, result);
+    ibp::sim::printSuiteTable(std::cout, result, &timing);
 
     const auto averages = result.averages();
     std::cout << "\nEqual-budget suite averages: most-recent-target "
@@ -55,7 +53,7 @@ main(int argc, char **argv)
     double loss_total = 0;
     int rows = 0;
     for (const auto &profile : suite) {
-        auto trace = ibp::sim::generateTrace(profile, scale);
+        auto trace = ibp::sim::generateTrace(profile, options.traceScale);
 
         ibp::sim::FrontendConfig config;
         config.instructionsPerBranch = profile.instructionsPerBranch;
@@ -84,5 +82,7 @@ main(int argc, char **argv)
                 "%.2f%% — the pipelining concern Section 4 raises is "
                 "measurable but small.\n",
                 loss_total / rows);
+    ibp::bench::writeTimelineTrace(ibp::sim::buildRunReport(
+        "bench_ablation_vote", options, result, timing));
     return 0;
 }

@@ -55,7 +55,8 @@ traceScale(int argc, char **argv, double fallback = 1.0)
 
 /**
  * Resolve the suite worker count from argv/environment.
- * 0 = hardware concurrency, 1 = legacy serial path.
+ * 0 = hardware concurrency, 1 = every task inline on the caller's
+ * thread (no pool).
  */
 inline unsigned
 threadCount(int argc, char **argv, unsigned fallback = 0)
@@ -82,12 +83,12 @@ threadCount(int argc, char **argv, unsigned fallback = 0)
  * Checkpoint/resume is controlled by flags (anywhere on the command
  * line) with environment fallbacks:
  *   --checkpoint=<path>      (IBP_CHECKPOINT)    progress-file path
- *   --checkpoint-every=<n>   (IBP_CHECKPOINT_EVERY)  mid-cell cadence
- *                            (cell tasks run with one thread)
  *   --resume                 (IBP_RESUME=1)      resume from the file
- * An interrupted run restarted with the same path and --resume skips
- * every finished cell and produces a report that `report_tool --diff`
- * finds identical to an uninterrupted run's.
+ * Progress is recorded per finished cell (per finished row with
+ * --one-pass).  An interrupted run restarted with the same path and
+ * --resume skips every finished cell, replays the rest whole, and
+ * produces a report that `report_tool --diff` finds identical to an
+ * uninterrupted run's.
  *
  * One-pass replay (one task per row: read each trace once and feed
  * every predictor column from the shared records — bit-identical,
@@ -112,8 +113,6 @@ suiteOptions(int argc, char **argv, double scale_fallback = 1.0)
 
     if (const char *env = std::getenv("IBP_CHECKPOINT"))
         options.checkpointPath = env;
-    if (const char *env = std::getenv("IBP_CHECKPOINT_EVERY"))
-        options.checkpointEvery = std::strtoull(env, nullptr, 10);
     if (const char *env = std::getenv("IBP_RESUME"))
         options.resume = std::string(env) != "0";
     if (const char *env = std::getenv("IBP_ONE_PASS"))
@@ -132,10 +131,6 @@ suiteOptions(int argc, char **argv, double scale_fallback = 1.0)
         if (arg.rfind("--checkpoint=", 0) == 0)
             options.checkpointPath =
                 arg.substr(std::string("--checkpoint=").size());
-        else if (arg.rfind("--checkpoint-every=", 0) == 0)
-            options.checkpointEvery = std::strtoull(
-                arg.c_str() + std::string("--checkpoint-every=").size(),
-                nullptr, 10);
         else if (arg == "--resume")
             options.resume = true;
         else if (arg == "--one-pass")
@@ -176,21 +171,6 @@ banner(const std::string &what, const ibp::sim::SuiteOptions &options)
     std::printf("=== %s (trace scale %.2f, %u threads) ===\n",
                 what.c_str(), options.traceScale,
                 ibp::util::ThreadPool::resolveThreads(options.threads));
-}
-
-/** Print the suite wall-clock / speedup footer to stdout. */
-inline void
-timingFooter(const ibp::sim::SuiteTiming &timing)
-{
-    if (timing.threadsUsed <= 1) {
-        std::printf("wall-clock  %.2f s (serial path)\n",
-                    timing.wallSeconds);
-        return;
-    }
-    std::printf("wall-clock  %.2f s on %u threads "
-                "(serial-equivalent %.2f s, speedup %.1fx)\n",
-                timing.wallSeconds, timing.threadsUsed,
-                timing.serialEquivalentSeconds, timing.speedup());
 }
 
 /**

@@ -55,21 +55,6 @@ readMetaSection(util::StateReader &payload, CheckpointMeta &meta)
     meta.cursor = payload.readU64();
 }
 
-/** Byte blob as a string field (varint length + raw bytes). */
-void
-writeBlob(util::StateWriter &writer, std::string_view blob)
-{
-    writer.writeString(blob);
-}
-
-std::string
-writerString(const util::StateWriter &writer)
-{
-    return std::string(
-        reinterpret_cast<const char *>(writer.bytes().data()),
-        writer.size());
-}
-
 /**
  * Finish decoding one architectural sub-payload: the writer and reader
  * must agree byte for byte, so both an error and leftover bytes mean
@@ -210,61 +195,6 @@ restoreSimCheckpoint(const std::vector<std::uint8_t> &bytes,
     return util::Status::Ok();
 }
 
-PartialCell
-capturePartialCell(std::string row, std::string col,
-                   std::uint64_t cursor,
-                   const pred::IndirectPredictor &predictor,
-                   const ReplaySession &session)
-{
-    PartialCell partial;
-    partial.valid = true;
-    partial.row = std::move(row);
-    partial.col = std::move(col);
-    partial.cursor = cursor;
-
-    util::StateWriter predictor_writer;
-    predictor.saveState(predictor_writer);
-    partial.predictorState = writerString(predictor_writer);
-
-    util::StateWriter engine_writer;
-    session.saveState(engine_writer);
-    partial.engineState = writerString(engine_writer);
-
-    util::StateWriter probe_writer;
-    predictor.saveProbes(probe_writer);
-    session.saveProbes(probe_writer);
-    partial.probeState = writerString(probe_writer);
-    return partial;
-}
-
-bool
-restorePartialCell(const PartialCell &partial,
-                   pred::IndirectPredictor &predictor,
-                   ReplaySession &session)
-{
-    if (!partial.valid)
-        return false;
-    const auto restore = [](const std::string &blob, auto &&load) {
-        util::StateReader reader(
-            reinterpret_cast<const std::uint8_t *>(blob.data()),
-            blob.size());
-        load(reader);
-        return reader.ok() && reader.atEnd();
-    };
-    if (!restore(partial.predictorState, [&](util::StateReader &r) {
-            predictor.loadState(r);
-        }))
-        return false;
-    if (!restore(partial.engineState, [&](util::StateReader &r) {
-            session.loadState(r);
-        }))
-        return false;
-    return restore(partial.probeState, [&](util::StateReader &r) {
-        predictor.loadProbes(r);
-        session.loadProbes(r);
-    });
-}
-
 const CompletedCell *
 SuiteProgress::find(const std::string &row, const std::string &col) const
 {
@@ -322,17 +252,6 @@ encodeSuiteProgress(const SuiteProgress &progress)
         cell.timeline.saveState(writer);
         writer.endSection();
     }
-
-    if (progress.partial.valid) {
-        writer.beginSection("partial");
-        writer.writeString(progress.partial.row);
-        writer.writeString(progress.partial.col);
-        writer.writeU64(progress.partial.cursor);
-        writeBlob(writer, progress.partial.predictorState);
-        writeBlob(writer, progress.partial.engineState);
-        writeBlob(writer, progress.partial.probeState);
-        writer.endSection();
-    }
     return writer.bytes();
 }
 
@@ -374,18 +293,10 @@ decodeSuiteProgress(const std::vector<std::uint8_t> &bytes,
                 !status.ok())
                 return status;
             progress.cells.push_back(std::move(cell));
-        } else if (name == "partial") {
-            progress.partial.row = payload.readString();
-            progress.partial.col = payload.readString();
-            progress.partial.cursor = payload.readU64();
-            progress.partial.predictorState = payload.readString();
-            progress.partial.engineState = payload.readString();
-            progress.partial.probeState = payload.readString();
-            if (util::Status status = closePayload(payload, "partial");
-                !status.ok())
-                return status;
-            progress.partial.valid = true;
         }
+        // Unknown sections skip wholesale, so a file from an older
+        // writer (say, with a mid-cell "partial" snapshot) still
+        // resumes from its completed cells.
     }
     if (!reader.ok())
         return reader.status();

@@ -13,11 +13,12 @@
  *    is the proof).
  *
  *  - "suite": a suite runner's progress file — the fingerprint of the
- *    exact matrix being computed, every completed cell (results plus
- *    its probe registry), and at most one in-flight cell's mid-replay
- *    snapshot.  An interrupted bench run restarted with resume=true
- *    skips completed cells and continues the partial one, producing a
- *    report identical (up to timing) to an uninterrupted run.
+ *    exact matrix being computed and every completed cell (results,
+ *    probe registry and timeline).  An interrupted bench run restarted
+ *    with resume=true skips the completed cells and replays the rest
+ *    whole, producing a report identical (up to timing) to an
+ *    uninterrupted run.  Sections the reader does not know are
+ *    skipped, so files from older writers still resume.
  *
  * Checkpoint files are untrusted input: every decode path returns a
  * util::Status instead of crashing, and the suite runner downgrades a
@@ -124,45 +125,11 @@ struct CompletedCell
     obs::Timeline timeline;
 };
 
-/**
- * A mid-replay snapshot of the one cell in flight when the progress
- * file was last written (taken by cell tasks run inline).  The three
- * state blobs are opaque here; the scheduler feeds them back through
- * loadState / loadProbes on objects it builds itself.
- */
-struct PartialCell
-{
-    bool valid = false;
-    std::string row;
-    std::string col;
-    std::uint64_t cursor = 0;    ///< trace records already replayed
-    std::string predictorState;  ///< IndirectPredictor::saveState bytes
-    std::string engineState;     ///< ReplaySession::saveState bytes
-    std::string probeState;      ///< saveProbes bytes (predictor+RAS)
-};
-
-/** Snapshot an in-flight cell into a PartialCell. */
-PartialCell capturePartialCell(std::string row, std::string col,
-                               std::uint64_t cursor,
-                               const pred::IndirectPredictor &predictor,
-                               const ReplaySession &session);
-
-/**
- * Feed a PartialCell's blobs back into freshly built objects.
- * @retval false the blobs are corrupt or belong to a different
- *         configuration; the targets must be rebuilt and the cell
- *         replayed from the start
- */
-bool restorePartialCell(const PartialCell &partial,
-                        pred::IndirectPredictor &predictor,
-                        ReplaySession &session);
-
 /** Everything a suite progress file holds. */
 struct SuiteProgress
 {
     std::string fingerprint; ///< must match suiteFingerprint() to resume
     std::vector<CompletedCell> cells;
-    PartialCell partial;
 
     /** Completed-cell lookup; nullptr when (row, col) isn't recorded. */
     const CompletedCell *find(const std::string &row,

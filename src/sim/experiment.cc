@@ -244,10 +244,6 @@ class SuiteScheduler
             progress_.fingerprint =
                 suiteFingerprint(profiles, predictor_names, options);
             loadSuiteProgressFor(options, progress_);
-            // The snapshot is consumed by its cell's task; the file
-            // carries a partial again only once a new one is taken.
-            resume_ = std::move(progress_.partial);
-            progress_.partial = PartialCell{};
         }
         enumerateTasks();
     }
@@ -262,7 +258,7 @@ class SuiteScheduler
         unsigned threads_used = 1;
         if (threads <= 1) {
             for (const SuiteTask &task : tasks_)
-                merge(task, runTask(task, true));
+                merge(task, runTask(task));
         } else {
             util::ThreadPool pool(threads);
             threads_used = pool.threadCount();
@@ -270,7 +266,7 @@ class SuiteScheduler
             futures.reserve(tasks_.size());
             for (const SuiteTask &task : tasks_)
                 futures.push_back(pool.submit(
-                    [this, &task] { return runTask(task, false); }));
+                    [this, &task] { return runTask(task); }));
             for (std::size_t i = 0; i < tasks_.size(); ++i) {
                 TaskOutput output = futures[i].get();
                 serial_equivalent += output.cpuSeconds;
@@ -327,7 +323,7 @@ class SuiteScheduler
     }
 
     TaskOutput
-    runTask(const SuiteTask &task, bool inline_run)
+    runTask(const SuiteTask &task)
     {
         const double cpu_start = obs::threadCpuSeconds();
         TaskOutput output;
@@ -337,52 +333,25 @@ class SuiteScheduler
             output.cells = runRow(task, records);
         else
             output.cells.push_back(
-                runCell(task.row, task.cols.front(), records, inline_run));
+                runCell(task.row, task.cols.front(), records));
         trace.release();
         output.cpuSeconds = obs::threadCpuSeconds() - cpu_start;
         return output;
     }
 
-    /**
-     * A cell task: one predictor over the row's trace, resuming from
-     * the progress file's mid-cell snapshot when it names this cell.
-     * Inline, with checkpointEvery set, it snapshots itself into the
-     * progress file every checkpointEvery records.
-     */
+    /** A cell task: a factory-fresh predictor over the row's trace. */
     CellOutput
-    runCell(std::size_t r, std::size_t c, const trace::TraceBuffer &records,
-            bool inline_run)
+    runCell(std::size_t r, std::size_t c, const trace::TraceBuffer &records)
     {
-        const std::string &row_name = result_.rowNames[r];
         const std::string &name = names_[c];
-        obs::ScopedTraceSpan cell_span(row_name + " / " + name, "cell");
+        obs::ScopedTraceSpan cell_span(result_.rowNames[r] + " / " + name,
+                                       "cell");
         auto predictor = makePredictor(name, options_.factory);
         ReplaySession session(options_.engine);
         trace::ReplaySource source(records);
         const double wall_start = obs::wallSeconds();
         const double cpu_start = obs::threadCpuSeconds();
-
-        if (resume_.valid && resume_.row == row_name &&
-            resume_.col == name &&
-            !(restorePartialCell(resume_, *predictor, session) &&
-              source.seek(resume_.cursor))) {
-            warn("mid-cell checkpoint for (", row_name, ", ", name,
-                 ") is unusable; replaying the cell from the start");
-            predictor = makePredictor(name, options_.factory);
-            session = ReplaySession(options_.engine);
-            source.rewind();
-        }
-
-        const std::uint64_t every = options_.checkpointEvery;
-        if (inline_run && checkpointing_ && every > 0) {
-            while (session.run(source, *predictor, every) == every) {
-                progress_.partial = capturePartialCell(
-                    row_name, name, source.cursor(), *predictor, session);
-                writeSuiteProgress(options_, progress_);
-            }
-        } else {
-            session.run(source, *predictor);
-        }
+        session.run(source, *predictor);
 
         CellOutput output;
         output.col = c;
@@ -465,9 +434,9 @@ class SuiteScheduler
 
     /**
      * Merge a task's cells (the one merge path, in submission order),
-     * then record them in the progress file.  Probe registries merge
-     * by summation, so the result does not depend on which cells were
-     * resumed.
+     * then record them in the progress file; this is the file's only
+     * writer.  Probe registries merge by summation, so the result does
+     * not depend on which cells were resumed.
      */
     void
     merge(const SuiteTask &task, TaskOutput output)
@@ -484,10 +453,8 @@ class SuiteScheduler
             done.timeline = std::move(out.timeline);
             progress_.cells.push_back(std::move(done));
         }
-        if (checkpointing_) {
-            progress_.partial = PartialCell{};
+        if (checkpointing_)
             writeSuiteProgress(options_, progress_);
-        }
     }
 
     const std::vector<workload::BenchmarkProfile> &profiles_;
@@ -496,7 +463,6 @@ class SuiteScheduler
     const bool checkpointing_;
     SuiteResult result_;
     SuiteProgress progress_;
-    PartialCell resume_; ///< mid-cell snapshot to restore (read-only)
     std::vector<SuiteTask> tasks_;
     std::vector<std::unique_ptr<RowTrace>> traces_; ///< null: no tasks
 };
@@ -528,9 +494,14 @@ runSeedSweep(const std::vector<workload::BenchmarkProfile> &profiles,
         for (auto &profile : reseeded)
             profile.program.seed ^=
                 0x9e3779b97f4a7c15ULL * (s + 1) >> 7;
+        // One progress file per sweep point: a shared one would carry
+        // the last point's fingerprint, so no point could resume.
+        SuiteOptions seed_options = options;
+        if (!options.checkpointPath.empty())
+            seed_options.checkpointPath += ".seed" + std::to_string(s);
         SuiteTiming seed_timing;
         const SuiteResult result = runSuite(
-            reseeded, predictor_names, options, &seed_timing);
+            reseeded, predictor_names, seed_options, &seed_timing);
         sweep.perSeed.push_back(result.averages());
         if (timing) {
             timing->wallSeconds += seed_timing.wallSeconds;
@@ -598,16 +569,22 @@ printSuiteTable(std::ostream &out, const SuiteResult &result,
 void
 printSuiteTimingFooter(std::ostream &out, const SuiteTiming &timing)
 {
+    // Restore the caller's number format: numbers printed after the
+    // footer must not depend on the thread count.
+    const std::ios::fmtflags flags = out.flags();
+    const std::streamsize precision = out.precision();
     out << std::fixed << std::setprecision(2);
     if (timing.threadsUsed <= 1) {
         out << "wall-clock  " << timing.wallSeconds
             << " s (serial path)\n";
-        return;
+    } else {
+        out << "wall-clock  " << timing.wallSeconds << " s on "
+            << timing.threadsUsed << " threads (serial-equivalent "
+            << timing.serialEquivalentSeconds << " s, speedup "
+            << std::setprecision(1) << timing.speedup() << "x)\n";
     }
-    out << "wall-clock  " << timing.wallSeconds << " s on "
-        << timing.threadsUsed << " threads (serial-equivalent "
-        << timing.serialEquivalentSeconds << " s, speedup "
-        << std::setprecision(1) << timing.speedup() << "x)\n";
+    out.flags(flags);
+    out.precision(precision);
 }
 
 namespace {

@@ -57,26 +57,15 @@ struct SuiteOptions
 
     /**
      * Progress-file path for checkpoint/resume (see sim/checkpoint.hh).
-     * When non-empty, the runner records every completed cell there
-     * (written atomically after each cell) and, with resume, skips the
-     * cells a previous interrupted run already finished.  The file
+     * When non-empty, the runner records every finished task's cells
+     * there (written atomically as each task merges) and, with resume,
+     * skips the cells a previous interrupted run already finished; a
+     * task in flight at the interruption is replayed whole.  The file
      * carries a fingerprint of the exact matrix configuration; a
      * mismatch or a corrupt file downgrades to a warn() and a fresh
      * run.  Empty (the default) disables checkpointing entirely.
      */
     std::string checkpointPath;
-
-    /**
-     * Mid-cell checkpoint cadence in replayed records (0 = cell
-     * granularity).  Every @c checkpointEvery records the in-flight
-     * cell's full simulation state is snapshotted into the progress
-     * file, so even a single long cell resumes mid-replay instead of
-     * restarting.  Snapshots are taken by cell tasks run inline
-     * (threads resolving to 1); a snapshot found on resume is
-     * restored by the cell's task at any thread count, while a
-     * one-pass row task replays that cell from the start.
-     */
-    std::uint64_t checkpointEvery = 0;
 
     /** Resume from checkpointPath if it exists and matches. */
     bool resume = false;
@@ -196,7 +185,9 @@ struct SeedSweepResult
  * seeds (the profiles' structure is identical; only the RNG streams
  * change) and report the mean and standard deviation of each
  * predictor's suite average.  Used to show the Figure-6 ordering is a
- * property of the workload statistics, not of one lucky seed.
+ * property of the workload statistics, not of one lucky seed.  With a
+ * checkpointPath, sweep point k keeps its progress in
+ * "<checkpointPath>.seed<k>", so every point resumes on its own.
  */
 SeedSweepResult
 runSeedSweep(const std::vector<workload::BenchmarkProfile> &,

@@ -245,17 +245,9 @@ makePredictor(std::string_view name, const FactoryOptions &options)
 bool
 knownPredictor(std::string_view name)
 {
-    static const char *known[] = {
-        "BTB", "BTB2b", "GAp", "TC-PIB", "TC-PB", "TC-IND", "Dpath",
-        "Cascade", "Cascade-strict", "PPM-hyb", "PPM-PIB",
-        "PPM-hyb-biased", "PPM-tagged", "PPM-gshare", "PPM-low",
-        "PPM-inclusive", "PPM-confidence", "PPM-vote2", "PPM-vote4",
-        "Filtered-PPM", "ITTAGE", "Perceptron",
-    };
-    for (const char *k : known)
-        if (name == k)
-            return true;
-    return name.starts_with("Oracle-PIB@");
+    static const std::vector<std::string> known = allPredictors();
+    return name.starts_with("Oracle-PIB@") ||
+           std::find(known.begin(), known.end(), name) != known.end();
 }
 
 std::vector<std::string>

@@ -35,7 +35,8 @@ struct FactoryOptions
 std::unique_ptr<pred::IndirectPredictor>
 makePredictor(std::string_view name, const FactoryOptions &options = {});
 
-/** True iff makePredictor() accepts @p name. */
+/** True iff makePredictor() accepts @p name: an allPredictors() name
+ *  or any Oracle-PIB@<k>. */
 bool knownPredictor(std::string_view name);
 
 /** The Figure-6 line-up: the paper's seven in its order, then the

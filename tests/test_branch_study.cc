@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "workload/profiles.hh"
 #include "workload/program.hh"
 #include "sim/branch_study.hh"
@@ -79,10 +81,10 @@ TEST(BranchStudy, PbOnlyCorrelationClassifiedPb)
     // Target is a pure function of the preceding conditional's
     // direction: only the PB stream can see it.
     TraceBuffer buf;
-    int state = 9;
+    std::uint32_t state = 9;
     for (int i = 0; i < 3000; ++i) {
-        state = state * 1103515245 + 12345;
-        const bool taken = (state >> 16) & 1;
+        state = state * 1103515245u + 12345u;
+        const bool taken = (static_cast<std::int32_t>(state) >> 16) & 1;
         buf.push(cond(0x120000900, 0x120000a00, taken));
         buf.push(mtJmp(0x120000040,
                        taken ? 0x120002000 : 0x120003000));
@@ -102,11 +104,13 @@ TEST(BranchStudy, PibCorrelationVisibleToBothClassifiedEither)
     // window (length 8) also contains that target, so both streams
     // predict it: class "either".
     TraceBuffer buf;
-    int state = 3;
+    std::uint32_t state = 3;
     ibp::trace::Addr marker = 0x120001004;
     for (int i = 0; i < 3000; ++i) {
-        state = state * 1103515245 + 12345;
-        marker = ((state >> 16) & 1) ? 0x120001004 : 0x120001148;
+        state = state * 1103515245u + 12345u;
+        marker = ((static_cast<std::int32_t>(state) >> 16) & 1)
+                     ? 0x120001004
+                     : 0x120001148;
         buf.push(mtJmp(0x120000900, marker));
         buf.push(mtJmp(0x120000040, marker == 0x120001004
                                         ? 0x120002000
@@ -130,12 +134,13 @@ TEST(BranchStudy, PibBeyondPbWindowClassifiedPib)
     // *branches*) is too short, while the 8-deep PIB window (in
     // *indirect targets*) still reaches it.
     TraceBuffer buf;
-    int state = 5;
+    std::uint32_t state = 5;
     std::vector<ibp::trace::Addr> recent(8, 0x120001004);
     for (int i = 0; i < 4000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = state * 1103515245u + 12345u;
         const ibp::trace::Addr marker =
-            ((state >> 16) & 1) ? 0x120001004 : 0x120001148;
+            ((static_cast<std::int32_t>(state) >> 16) & 1) ? 0x120001004
+                                                           : 0x120001148;
         buf.push(mtJmp(0x120000900, marker));
         recent.push_back(marker);
         // Five filler indirect branches with constant targets, each
@@ -168,11 +173,12 @@ TEST(BranchStudy, PibBeyondPbWindowClassifiedPib)
 TEST(BranchStudy, UnpredictableSiteClassified)
 {
     TraceBuffer buf;
-    int state = 77;
+    std::uint32_t state = 77;
     for (int i = 0; i < 3000; ++i) {
-        state = state * 1103515245 + 12345;
-        buf.push(mtJmp(0x120000040,
-                       0x120002000 + ((state >> 16) % 8) * 64));
+        state = state * 1103515245u + 12345u;
+        // Read signed, the draw spans -7..7: fifteen distinct targets.
+        const int slot = (static_cast<std::int32_t>(state) >> 16) % 8;
+        buf.push(mtJmp(0x120000040, 0x120002000 + slot * 64));
     }
     const auto study = studyCorrelation(buf);
     ASSERT_EQ(study.sites.size(), 1u);

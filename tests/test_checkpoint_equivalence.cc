@@ -352,13 +352,6 @@ TEST(CheckpointEquivalence, SuiteProgressHostileInputNeverCrashes)
     cell.cell.predictions = 1000;
     cell.probes.counter("ras/pushes", 42);
     progress.cells.push_back(cell);
-    progress.partial.valid = true;
-    progress.partial.row = "perl";
-    progress.partial.col = "BTB2b";
-    progress.partial.cursor = 123;
-    progress.partial.predictorState = std::string(32, 'x');
-    progress.partial.engineState = std::string(16, 'y');
-    progress.partial.probeState = std::string(8, 'z');
     const std::vector<std::uint8_t> valid =
         encodeSuiteProgress(progress);
 
@@ -367,9 +360,6 @@ TEST(CheckpointEquivalence, SuiteProgressHostileInputNeverCrashes)
     ASSERT_EQ(round.cells.size(), 1u);
     EXPECT_EQ(round.cells[0].cell.missPercent, 12.5);
     EXPECT_EQ(round.cells[0].probes.counterValue("ras/pushes"), 42u);
-    ASSERT_TRUE(round.partial.valid);
-    EXPECT_EQ(round.partial.cursor, 123u);
-    EXPECT_EQ(round.partial.predictorState, std::string(32, 'x'));
 
     for (std::size_t len = 0; len < valid.size(); ++len) {
         std::vector<std::uint8_t> cut(valid.begin(),

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "predictors/dpath.hh"
 
 namespace {
@@ -142,10 +144,10 @@ TEST(Dpath, AdaptsPathLengthPerBranch)
     const ibp::trace::Addr noise[2] = {0x12000a000, 0x12000b004};
 
     int misses_late = 0;
-    int phase_state = 12345;
+    std::uint32_t phase_state = 12345;
     for (int i = 0; i < 3000; ++i) {
-        phase_state = phase_state * 1103515245 + 12345;
-        const int phase = (phase_state >> 16) & 1;
+        phase_state = phase_state * 1103515245u + 12345u;
+        const int phase = (static_cast<std::int32_t>(phase_state) >> 16) & 1;
         // marker (3rd-back), then two noise indirects, then the branch
         dpath.observe(mtJmp(0x120000900, markers[phase]));
         dpath.observe(mtJmp(0x120000a00, noise[0]));

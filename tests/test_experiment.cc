@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
 #include <sstream>
 
 #include "sim/experiment.hh"
@@ -116,6 +117,24 @@ TEST(Experiment, PrintedTableWellFormed)
     EXPECT_NE(text.find("smoke"), std::string::npos);
     EXPECT_NE(text.find("average"), std::string::npos);
     EXPECT_NE(text.find("BTB"), std::string::npos);
+}
+
+TEST(Experiment, TimingFooterKeepsCallerNumberFormat)
+{
+    // Drivers print averages after the table's footer; how they look
+    // must not depend on whether the footer took its pooled form.
+    for (unsigned threads : {1u, 4u}) {
+        SuiteTiming timing;
+        timing.wallSeconds = 1.0;
+        timing.serialEquivalentSeconds = 3.5;
+        timing.threadsUsed = threads;
+        std::ostringstream os;
+        os << std::fixed << std::setprecision(2);
+        printSuiteTimingFooter(os, timing);
+        os.str("");
+        os << 11.2635;
+        EXPECT_EQ(os.str(), "11.26") << "threads=" << threads;
+    }
 }
 
 TEST(Experiment, SeedSweepShapesAndStats)

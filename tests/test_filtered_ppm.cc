@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/filtered_ppm.hh"
 
 namespace {
@@ -68,10 +70,10 @@ TEST(FilteredPpm, PolymorphicBranchPromotesToPpm)
     const ibp::trace::Addr markers[2] = {0x120001004, 0x120001148};
     const ibp::trace::Addr targets[2] = {0x120002000, 0x120003000};
     int late_misses = 0;
-    int state = 5;
+    std::uint32_t state = 5;
     for (int i = 0; i < 4000; ++i) {
-        state = state * 1103515245 + 12345;
-        const int phase = (state >> 16) & 1;
+        state = state * 1103515245u + 12345u;
+        const int phase = (static_cast<std::int32_t>(state) >> 16) & 1;
         fppm.observe(mtJmp(0x120000900, markers[phase]));
         const Prediction p = fppm.predict(pc);
         if (i > 3000 && p.target != targets[phase])
@@ -92,11 +94,11 @@ TEST(FilteredPpm, FilterShieldsPpmFromMonomorphicPollution)
     FilteredPpm fppm(smallConfig());
     const ibp::trace::Addr poly_pc = 0x120000040;
     const ibp::trace::Addr targets[2] = {0x120002000, 0x120003000};
-    int state = 5;
+    std::uint32_t state = 5;
     std::uint64_t mono_accesses_before = 0;
     for (int i = 0; i < 2000; ++i) {
-        state = state * 1103515245 + 12345;
-        const int phase = (state >> 16) & 1;
+        state = state * 1103515245u + 12345u;
+        const int phase = (static_cast<std::int32_t>(state) >> 16) & 1;
         // Three monomorphic branches.
         for (int m = 0; m < 3; ++m) {
             const ibp::trace::Addr pc = 0x120005000 + m * 0x40;

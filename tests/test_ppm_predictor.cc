@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/ppm_predictor.hh"
 
 namespace {
@@ -82,10 +84,10 @@ TEST(PpmPredictor, LearnsPibCorrelatedPattern)
     const ibp::trace::Addr markers[2] = {0x120001004, 0x120001148};
     const ibp::trace::Addr targets[2] = {0x120002000, 0x120003000};
     int late_misses = 0;
-    int state = 7;
+    std::uint32_t state = 7;
     for (int i = 0; i < 4000; ++i) {
-        state = state * 1103515245 + 12345;
-        const int phase = (state >> 16) & 1;
+        state = state * 1103515245u + 12345u;
+        const int phase = (static_cast<std::int32_t>(state) >> 16) & 1;
         ppm.observe(mtJmp(0x120000900, markers[phase]));
         const Prediction p = ppm.predict(pc);
         if (i > 3000 && p.target != targets[phase])
@@ -107,10 +109,10 @@ TEST(PpmPredictor, HybridLearnsPbCorrelatedPattern)
     const ibp::trace::Addr targets[2] = {0x120002000, 0x120003000};
     int hyb_late = 0;
     int pib_late = 0;
-    int state = 3;
+    std::uint32_t state = 3;
     for (int i = 0; i < 6000; ++i) {
-        state = state * 1103515245 + 12345;
-        const int phase = (state >> 16) & 1;
+        state = state * 1103515245u + 12345u;
+        const int phase = (static_cast<std::int32_t>(state) >> 16) & 1;
         const auto c = cond(0x120000900, 0x120000a00, phase == 1);
         hyb.observe(c);
         pib.observe(c);

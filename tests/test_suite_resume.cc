@@ -6,10 +6,11 @@
  * file — whatever that file holds — produces a result matrix
  * bit-identical (cells and probe registries; timing excepted) to an
  * uninterrupted run of the same configuration.  That covers resuming
- * from a half-finished file (the kill-and-restart case), from a
- * mid-cell partial snapshot, and — crucially — from files that must
- * NOT be trusted: corrupt bytes and checkpoints written by a different
- * configuration both downgrade to a warn() and a fresh, correct run.
+ * from a half-finished file (the kill-and-restart case), from a file
+ * an older writer left with a mid-cell snapshot section, and —
+ * crucially — from files that must NOT be trusted: corrupt bytes and
+ * checkpoints written by a different configuration both downgrade to
+ * a warn() and a fresh, correct run.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "util/logging.hh"
+#include "util/serde.hh"
 #include "workload/profiles.hh"
 #include "sim/checkpoint.hh"
 #include "sim/engine.hh"
@@ -119,7 +121,6 @@ TEST(SuiteResume, UninterruptedCheckpointedRunMatchesPlainRun)
     ASSERT_TRUE(decodeSuiteProgress(bytes, progress).ok());
     EXPECT_EQ(progress.cells.size(),
               testProfiles().size() * kPredictors.size());
-    EXPECT_FALSE(progress.partial.valid);
     EXPECT_EQ(progress.fingerprint,
               suiteFingerprint(testProfiles(), kPredictors, options));
     std::remove(options.checkpointPath.c_str());
@@ -151,38 +152,78 @@ TEST(SuiteResume, ResumesFromHalfFinishedFile)
     std::remove(options.checkpointPath.c_str());
 }
 
-TEST(SuiteResume, ResumesMidCellFromPartialSnapshot)
+TEST(SuiteResume, ResumesLegacyFileWithPartialSection)
 {
     const SuiteResult baseline = runBaseline();
 
-    // Hand-build the progress file an interrupted serial run leaves
-    // mid-cell: zero completed cells plus a partial snapshot of the
-    // very first cell taken 4000 records in.
+    // The file an older writer, which also snapshotted cells
+    // mid-replay, left when interrupted: the first row's cells, then a
+    // raw "partial" section holding the next cell's state 4000 records
+    // in.  The reader skips that section, keeps the completed cells
+    // and replays the snapshotted cell whole.
     SuiteOptions options = baseOptions();
-    options.checkpointPath = scratchPath("partial");
-    options.resume = true;
-
+    options.checkpointPath = scratchPath("legacy");
     const auto profiles = testProfiles();
+    runSuite(profiles, kPredictors, options);
+
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(readCheckpointFile(options.checkpointPath, bytes).ok());
+    SuiteProgress progress;
+    ASSERT_TRUE(decodeSuiteProgress(bytes, progress).ok());
+    progress.cells.resize(kPredictors.size());
+    // Marks the kept cells: a recomputed cell would carry its own time.
+    constexpr double kKeptCpuSeconds = 12345.0;
+    for (CompletedCell &cell : progress.cells)
+        cell.cell.cpuSeconds = kKeptCpuSeconds;
+    bytes = encodeSuiteProgress(progress);
+
     trace::TraceBuffer trace =
-        generateTrace(profiles[0], options.traceScale);
+        generateTrace(profiles[1], options.traceScale);
     auto predictor = makePredictor(kPredictors[0]);
     ReplaySession session(options.engine);
     const std::uint64_t k = 4000;
     ASSERT_EQ(session.run(trace, *predictor, k), k);
+    const auto blob = [](auto &&save) {
+        util::StateWriter writer;
+        save(writer);
+        return std::string(
+            reinterpret_cast<const char *>(writer.bytes().data()),
+            writer.size());
+    };
+    util::StateWriter legacy;
+    legacy.beginSection("partial");
+    legacy.writeString(profiles[1].fullName());
+    legacy.writeString(kPredictors[0]);
+    legacy.writeU64(k);
+    legacy.writeString(
+        blob([&](util::StateWriter &w) { predictor->saveState(w); }));
+    legacy.writeString(
+        blob([&](util::StateWriter &w) { session.saveState(w); }));
+    legacy.writeString(blob([&](util::StateWriter &w) {
+        predictor->saveProbes(w);
+        session.saveProbes(w);
+    }));
+    legacy.endSection();
+    bytes.insert(bytes.end(), legacy.bytes().begin(),
+                 legacy.bytes().end());
+    ASSERT_TRUE(writeCheckpointFile(options.checkpointPath, bytes).ok());
 
-    SuiteProgress progress;
-    progress.fingerprint =
-        suiteFingerprint(profiles, kPredictors, options);
-    progress.partial = capturePartialCell(
-        profiles[0].fullName(), kPredictors[0], k, *predictor, session);
-    ASSERT_TRUE(progress.partial.valid);
-    ASSERT_TRUE(writeCheckpointFile(options.checkpointPath,
-                                    encodeSuiteProgress(progress))
-                    .ok());
+    options.resume = true;
+    util::resetWarnCount();
+    const SuiteResult resumed = runSuite(profiles, kPredictors, options);
+    EXPECT_EQ(util::warnCount(), 0u)
+        << "an old file resumes from its completed cells, quietly";
+    expectSameResult(baseline, resumed, "legacy partial section");
+    for (std::size_t c = 0; c < kPredictors.size(); ++c)
+        EXPECT_EQ(resumed.cells[0][c].cpuSeconds, kKeptCpuSeconds)
+            << "completed cell " << kPredictors[c] << " was recomputed";
 
-    const SuiteResult resumed =
-        runSuite(profiles, kPredictors, options);
-    expectSameResult(baseline, resumed, "mid-cell resume");
+    // The rewritten file holds every cell and no trace of the section.
+    ASSERT_TRUE(readCheckpointFile(options.checkpointPath, bytes).ok());
+    ASSERT_TRUE(decodeSuiteProgress(bytes, progress).ok());
+    EXPECT_EQ(progress.cells.size(),
+              profiles.size() * kPredictors.size());
+    EXPECT_EQ(bytes, encodeSuiteProgress(progress));
     std::remove(options.checkpointPath.c_str());
 }
 
@@ -266,21 +307,6 @@ TEST(SuiteResume, ParallelRunnerResumesAtCellGranularity)
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     expectSameResult(baseline, resumed, "parallel resume");
-    std::remove(options.checkpointPath.c_str());
-}
-
-TEST(SuiteResume, MidCellCadenceDoesNotChangeResults)
-{
-    const SuiteResult baseline = runBaseline();
-
-    // 700 deliberately does not divide the 10k-record rows, so the
-    // last slice of every cell is shorter than the cadence.
-    SuiteOptions options = baseOptions();
-    options.checkpointPath = scratchPath("cadence");
-    options.checkpointEvery = 700;
-    const SuiteResult chopped =
-        runSuite(testProfiles(), kPredictors, options);
-    expectSameResult(baseline, chopped, "checkpointEvery=700");
     std::remove(options.checkpointPath.c_str());
 }
 

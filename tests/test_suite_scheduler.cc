@@ -4,8 +4,9 @@
  * generated exactly once per run — for cell and one-pass row tasks,
  * inline or on any number of pool workers — a row a progress file
  * already completed generates none, and SuiteTiming::traceGenSeconds
- * counts each generation once.  Generations are counted through the
- * "tracegen" spans the scheduler records in obs::globalTraceLog().
+ * counts each generation once; a resumed seed sweep regenerates no
+ * trace of a completed sweep point.  Generations are counted through
+ * the "tracegen" spans the scheduler records in obs::globalTraceLog().
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
 #include "obs/trace_event.hh"
 #include "workload/profiles.hh"
 #include "sim/checkpoint.hh"
@@ -51,16 +53,16 @@ struct Generations
     double seconds = 0;                     ///< summed span durations
 };
 
-/** Run the suite with the global trace log on; collect its tracegen
+/** Call @p body with the global trace log on; collect its tracegen
  *  spans.  The log is switched off and emptied again afterwards. */
+template <typename Body>
 Generations
-runTraced(const std::vector<workload::BenchmarkProfile> &profiles,
-          const SuiteOptions &options, SuiteTiming &timing)
+traceGenerations(Body &&body)
 {
     obs::TraceEventLog &log = obs::globalTraceLog();
     log.clear();
     log.setEnabled(true);
-    runSuite(profiles, kPredictors, options, &timing);
+    body();
     log.setEnabled(false);
     Generations generations;
     for (const obs::TraceEvent &event : log.snapshot()) {
@@ -71,6 +73,15 @@ runTraced(const std::vector<workload::BenchmarkProfile> &profiles,
     }
     log.clear();
     return generations;
+}
+
+/** One suite run's tracegen spans (see traceGenerations()). */
+Generations
+runTraced(const std::vector<workload::BenchmarkProfile> &profiles,
+          const SuiteOptions &options, SuiteTiming &timing)
+{
+    return traceGenerations(
+        [&] { runSuite(profiles, kPredictors, options, &timing); });
 }
 
 std::string
@@ -167,6 +178,40 @@ TEST(SuiteScheduler, TraceGenSecondsCountsEachGenerationOnce)
                 << label;
         }
     }
+}
+
+TEST(SuiteScheduler, ResumedSeedSweepRecomputesNothing)
+{
+    // Each sweep point keeps its own progress file.  Were one file
+    // shared, every point would overwrite the others' fingerprint, and
+    // a resume would warn and recompute every point.
+    const auto profiles = schedulerProfiles();
+    constexpr unsigned kSeeds = 3;
+    const std::string path =
+        ::testing::TempDir() + "ibp_scheduler_sweep.ckpt";
+    const auto remove_files = [&] {
+        for (unsigned s = 0; s < kSeeds; ++s)
+            std::remove((path + ".seed" + std::to_string(s)).c_str());
+    };
+    remove_files();
+    SuiteOptions options;
+    options.checkpointPath = path;
+    const SeedSweepResult first =
+        runSeedSweep(profiles, kPredictors, options, kSeeds);
+
+    options.resume = true;
+    util::resetWarnCount();
+    SeedSweepResult resumed;
+    const Generations generations = traceGenerations([&] {
+        resumed = runSeedSweep(profiles, kPredictors, options, kSeeds);
+    });
+    EXPECT_TRUE(generations.perRow.empty())
+        << "a completed sweep point must not regenerate a trace";
+    EXPECT_EQ(util::warnCount(), 0u);
+    EXPECT_EQ(resumed.mean, first.mean);
+    EXPECT_EQ(resumed.stddev, first.stddev);
+    EXPECT_EQ(resumed.perSeed, first.perSeed);
+    remove_files();
 }
 
 } // namespace

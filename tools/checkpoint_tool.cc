@@ -170,18 +170,6 @@ inspect(const std::string &path)
         std::cout << "    (" << cell.row << ", " << cell.col
                   << ")  miss " << cell.cell.missPercent << "%  over "
                   << cell.cell.predictions << " predictions\n";
-    if (progress.partial.valid)
-        std::cout << "  partial cell (" << progress.partial.row << ", "
-                  << progress.partial.col << ") at record "
-                  << progress.partial.cursor << " ("
-                  << progress.partial.predictorState.size()
-                  << " predictor bytes, "
-                  << progress.partial.engineState.size()
-                  << " engine bytes, "
-                  << progress.partial.probeState.size()
-                  << " probe bytes)\n";
-    else
-        std::cout << "  no partial cell\n";
     return 0;
 }
 
@@ -295,9 +283,6 @@ diffSuite(const sim::SuiteProgress &a, const sim::SuiteProgress &b,
         if (a.find(cell.row, cell.col) == nullptr)
             diff.failure("cell (" + cell.row + ", " + cell.col +
                          ") only in the second file");
-    if (a.partial.valid != b.partial.valid)
-        diff.note("partial cell present in only one file "
-                  "(informational)");
 }
 
 int
