@@ -14,6 +14,9 @@ Ittage::Ittage(const IttageConfig &config, std::string name)
     fatal_if(config.baseEntries == 0, "ITTAGE needs a base table");
     fatal_if(config.numComponents == 0,
              "ITTAGE needs at least one tagged component");
+    fatal_if(config.numComponents > kMaxComponents,
+             "ITTAGE supports at most ", kMaxComponents,
+             " tagged components");
     fatal_if(config.entriesPerComponent == 0,
              "ITTAGE needs non-empty tagged components");
     fatal_if(config.tagBits < 2 || config.tagBits > 30,
@@ -64,39 +67,48 @@ Ittage::Ittage(const IttageConfig &config, std::string name)
     }
 }
 
+void
+Ittage::slotsFor(trace::Addr pc, Slots &slots) const
+{
+    const std::uint64_t addr = pc >> 2;
+    const std::uint64_t pcTag = util::foldXor(addr, 34, config_.tagBits);
+    for (std::size_t i = 0; i < config_.numComponents; ++i) {
+        // Mix a second, component-shifted pc slice so the same branch
+        // lands on different rows across components even with an
+        // empty history (TAGE's index de-correlation).
+        slots.index[i] = components_[i].reduce(
+            addr ^ (addr >> (i + 1)) ^ indexFolds_[i].value());
+        slots.tag[i] = static_cast<std::uint32_t>(util::selectLow(
+            pcTag ^ tagFoldsA_[i].value() ^
+                (tagFoldsB_[i].value() << 1),
+            config_.tagBits));
+    }
+}
+
 std::uint64_t
 Ittage::indexFor(std::size_t component, trace::Addr pc) const
 {
-    // Mix a second, component-shifted pc slice so the same branch
-    // lands on different rows across components even with an empty
-    // history (TAGE's index de-correlation).
-    const std::uint64_t addr = pc >> 2;
-    const std::uint64_t hash =
-        addr ^ (addr >> (component + 1)) ^
-        indexFolds_[component].value();
-    return components_[component].reduce(hash);
+    Slots slots;
+    slotsFor(pc, slots);
+    return slots.index[component];
 }
 
 std::uint32_t
 Ittage::tagFor(std::size_t component, trace::Addr pc) const
 {
-    const std::uint64_t tag =
-        util::foldXor(pc >> 2, 34, config_.tagBits) ^
-        tagFoldsA_[component].value() ^
-        (tagFoldsB_[component].value() << 1);
-    return static_cast<std::uint32_t>(
-        util::selectLow(tag, config_.tagBits));
+    Slots slots;
+    slotsFor(pc, slots);
+    return slots.tag[component];
 }
 
 Ittage::Lookup
-Ittage::lookupFor(trace::Addr pc) const
+Ittage::lookup(trace::Addr pc, const Slots &slots) const
 {
     Lookup look;
     look.baseIndex = base_.reduce(pc >> 2);
     for (std::size_t i = config_.numComponents; i-- > 0;) {
-        const IttageEntry &entry =
-            components_[i].at(indexFor(i, pc));
-        if (!entry.valid || entry.tag != tagFor(i, pc))
+        const IttageEntry &entry = components_[i].at(slots.index[i]);
+        if (!entry.valid || entry.tag != slots.tag[i])
             continue;
         if (look.provider == kBase) {
             look.provider = i;
@@ -118,7 +130,9 @@ Ittage::lookupFor(trace::Addr pc) const
 std::size_t
 Ittage::providerComponent(trace::Addr pc) const
 {
-    return lookupFor(pc).provider;
+    Slots slots;
+    slotsFor(pc, slots);
+    return lookup(pc, slots).provider;
 }
 
 Prediction
@@ -126,21 +140,40 @@ Ittage::predict(trace::Addr pc)
 {
     // Pure lookup: update() recomputes the same slots (histories only
     // advance in observe()), so predict() leaves no transient state.
-    return lookupFor(pc).prediction;
+    Slots slots;
+    slotsFor(pc, slots);
+    return lookup(pc, slots).prediction;
 }
 
 void
 Ittage::update(trace::Addr pc, trace::Addr target)
 {
-    const Lookup look = lookupFor(pc);
+    // predict() changes nothing, so redoing its lookup inside the
+    // fused call is exactly the split protocol's update().
+    predictAndUpdate(pc, target);
+}
+
+Prediction
+Ittage::predictAndUpdate(trace::Addr pc, trace::Addr target)
+{
+    Slots slots;
+    slotsFor(pc, slots);
+    const Lookup look = lookup(pc, slots);
+    train(target, slots, look);
+    return look.prediction;
+}
+
+void
+Ittage::train(trace::Addr target, const Slots &slots,
+              const Lookup &look)
+{
     const bool mispredict =
         !look.prediction.valid || look.prediction.target != target;
 
     if (look.provider != kBase) {
         taggedProvides_.bump();
         IttageEntry &entry =
-            components_[look.provider].at(
-                indexFor(look.provider, pc));
+            components_[look.provider].at(slots.index[look.provider]);
         const bool correct = entry.target == target;
         // The useful counter moves only when the provider disagreed
         // with the alternate — that is when it carried information.
@@ -164,11 +197,11 @@ Ittage::update(trace::Addr pc, trace::Addr target)
     base_.at(look.baseIndex).train(target);
 
     if (mispredict)
-        allocate(pc, target, look.provider);
+        allocate(target, slots, look.provider);
 }
 
 void
-Ittage::allocate(trace::Addr pc, trace::Addr target,
+Ittage::allocate(trace::Addr target, const Slots &slots,
                  std::size_t provider)
 {
     const std::size_t start = provider == kBase ? 0 : provider + 1;
@@ -180,12 +213,12 @@ Ittage::allocate(trace::Addr pc, trace::Addr target,
     // (Hardware TAGE randomizes here to break ping-pong; a replayed
     // simulation must not, and the determinism lint bans rand().)
     for (std::size_t j = start; j < config_.numComponents; ++j) {
-        IttageEntry &entry = components_[j].at(indexFor(j, pc));
+        IttageEntry &entry = components_[j].at(slots.index[j]);
         if (entry.valid && !entry.useful.saturatedLow())
             continue;
         entry.valid = true;
         entry.target = target;
-        entry.tag = tagFor(j, pc);
+        entry.tag = slots.tag[j];
         entry.confidence.set(0);
         entry.useful.set(0);
         allocations_.bump();
@@ -195,7 +228,7 @@ Ittage::allocate(trace::Addr pc, trace::Addr target,
     // Every candidate was useful: age them all so the next
     // misprediction finds a victim, and record the stall.
     for (std::size_t j = start; j < config_.numComponents; ++j)
-        components_[j].at(indexFor(j, pc)).useful.decrement();
+        components_[j].at(slots.index[j]).useful.decrement();
     allocationStalls_.bump();
 }
 

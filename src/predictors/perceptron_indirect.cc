@@ -12,10 +12,14 @@ PerceptronIndirect::PerceptronIndirect(
                   StreamSel::MtIndirect),
       pbHistory_(config.pbHistoryBits, config.pbBitsPerTarget,
                  StreamSel::AllBranches),
+      pibSegmentBits_(0), pbSegmentBits_(0),
       candidates_(config.candidateSets, config.candidateWays)
 {
     fatal_if(config.numTables < 2 || config.numTables % 2 != 0,
              "perceptron needs an even table count (PIB + PB halves)");
+    fatal_if(config.numTables > kMaxTables,
+             "perceptron supports at most ", kMaxTables,
+             " weight tables");
     fatal_if(config.entriesPerTable == 0,
              "perceptron needs non-empty weight tables");
     fatal_if(config.weightBits < 2 || config.weightBits > 8,
@@ -24,6 +28,9 @@ PerceptronIndirect::PerceptronIndirect(
              "perceptron threshold must be non-negative");
     fatal_if(config.candidateTagBits < 2 || config.candidateTagBits > 30,
              "perceptron candidate tag width out of range");
+    const auto half = static_cast<unsigned>(config.numTables / 2);
+    pibSegmentBits_ = pibHistory_.bits() / half;
+    pbSegmentBits_ = pbHistory_.bits() / half;
     weights_.reserve(config.numTables);
     for (std::size_t i = 0; i < config.numTables; ++i)
         weights_.emplace_back(config.entriesPerTable);
@@ -42,36 +49,72 @@ PerceptronIndirect::candidateTag(trace::Addr target) const
     return util::foldXor(target >> 2, 40, config_.candidateTagBits);
 }
 
+void
+PerceptronIndirect::featuresFor(trace::Addr pc, Features &features) const
+{
+    // Half the tables read PIB-register segments, half PB-register
+    // segments; every hash mixes the pc, and scoring a candidate XORs
+    // in a fold of its target so the same weights discriminate
+    // between candidates.
+    const std::size_t half = config_.numTables / 2;
+    const std::uint64_t addr = pc >> 2;
+    for (std::size_t lane = 0; lane < half; ++lane) {
+        const auto lo = static_cast<unsigned>(lane);
+        const std::uint64_t pib = util::bitsRange(
+            pibHistory_.value(), lo * pibSegmentBits_, pibSegmentBits_);
+        const std::uint64_t pb = util::bitsRange(
+            pbHistory_.value(), lo * pbSegmentBits_, pbSegmentBits_);
+        features.base[lane] = addr ^ (pib << 1) ^ (lane * 0x9E37ull);
+        features.base[half + lane] =
+            addr ^ (pb << 1) ^ ((half + lane) * 0x9E37ull);
+    }
+}
+
 std::uint64_t
 PerceptronIndirect::featureIndex(std::size_t table, trace::Addr pc,
                                  trace::Addr target) const
 {
-    // Half the tables read PIB-register segments, half PB-register
-    // segments; every hash mixes the pc and a fold of the candidate
-    // target so the same weights discriminate between candidates.
-    const std::size_t half = config_.numTables / 2;
-    const bool pib = table < half;
-    const ShiftHistory &history = pib ? pibHistory_ : pbHistory_;
-    const std::size_t lane = pib ? table : table - half;
-    const unsigned segmentBits =
-        history.bits() / static_cast<unsigned>(half);
-    const std::uint64_t segment = util::bitsRange(
-        history.value(), static_cast<unsigned>(lane) * segmentBits,
-        segmentBits);
-    const std::uint64_t folded =
-        util::foldXor(target >> 2, 40, 16);
-    const std::uint64_t hash = (pc >> 2) ^ (segment << 1) ^ folded ^
-                               (table * 0x9E37ull);
-    return weights_[table].reduce(hash);
+    Features features{};
+    featuresFor(pc, features);
+    return weights_[table].reduce(features.base[table] ^
+                                  targetFold(target));
+}
+
+int
+PerceptronIndirect::scoreFold(const Features &features,
+                              std::uint64_t fold) const
+{
+    int sum = 0;
+    for (std::size_t i = 0; i < config_.numTables; ++i)
+        sum += weights_[i].at(weights_[i].reduce(features.base[i] ^ fold));
+    return sum;
 }
 
 int
 PerceptronIndirect::score(trace::Addr pc, trace::Addr target) const
 {
-    int sum = 0;
-    for (std::size_t i = 0; i < config_.numTables; ++i)
-        sum += weights_[i].at(featureIndex(i, pc, target));
-    return sum;
+    Features features{};
+    featuresFor(pc, features);
+    return scoreFold(features, targetFold(target));
+}
+
+PerceptronIndirect::Choice
+PerceptronIndirect::choose(std::uint64_t set,
+                           const Features &features) const
+{
+    Choice best;
+    for (std::size_t way = 0; way < candidates_.ways(); ++way) {
+        const TargetEntry &candidate = candidates_.wayEntry(set, way);
+        if (!candidate.valid)
+            continue;
+        const std::uint64_t fold = targetFold(candidate.target);
+        const int sum = scoreFold(features, fold);
+        // Strict comparison: ties resolve to the lowest way, keeping
+        // the choice deterministic under replay.
+        if (!best.prediction.valid || sum > best.score)
+            best = {{true, candidate.target}, sum, fold};
+    }
+    return best;
 }
 
 Prediction
@@ -79,31 +122,18 @@ PerceptronIndirect::predict(trace::Addr pc)
 {
     // Pure scan: no LRU touch, no transient slot — update() recomputes
     // the same candidates because histories only advance in observe().
-    const std::uint64_t set = candidateSet(pc);
-    Prediction best;
-    int bestScore = 0;
-    for (std::size_t way = 0; way < candidates_.ways(); ++way) {
-        const TargetEntry &candidate = candidates_.wayEntry(set, way);
-        if (!candidate.valid)
-            continue;
-        const int sum = score(pc, candidate.target);
-        // Strict comparison: ties resolve to the lowest way, keeping
-        // the choice deterministic under replay.
-        if (!best.valid || sum > bestScore) {
-            best = {true, candidate.target};
-            bestScore = sum;
-        }
-    }
-    return best;
+    Features features{};
+    featuresFor(pc, features);
+    return choose(candidateSet(pc), features).prediction;
 }
 
 void
-PerceptronIndirect::adjustWeights(trace::Addr pc, trace::Addr target,
-                                  int delta)
+PerceptronIndirect::adjustWeights(const Features &features,
+                                  std::uint64_t fold, int delta)
 {
     for (std::size_t i = 0; i < config_.numTables; ++i) {
         std::int8_t &weight =
-            weights_[i].at(featureIndex(i, pc, target));
+            weights_[i].at(weights_[i].reduce(features.base[i] ^ fold));
         int adjusted = weight + delta;
         // Saturate symmetrically so +w and -w training are mirrors.
         if (adjusted > maxWeight_)
@@ -118,21 +148,35 @@ PerceptronIndirect::adjustWeights(trace::Addr pc, trace::Addr target,
 void
 PerceptronIndirect::update(trace::Addr pc, trace::Addr target)
 {
-    const Prediction prediction = predict(pc);
+    // predict() changes nothing, so redoing its lookup inside the
+    // fused call is exactly the split protocol's update().
+    predictAndUpdate(pc, target);
+}
+
+Prediction
+PerceptronIndirect::predictAndUpdate(trace::Addr pc, trace::Addr target)
+{
+    Features features{};
+    featuresFor(pc, features);
+    const std::uint64_t set = candidateSet(pc);
+    const Choice choice = choose(set, features);
+    const Prediction prediction = choice.prediction;
     const bool mispredict =
         !prediction.valid || prediction.target != target;
 
     // Perceptron rule: train on every mispredict, and on correct
-    // predictions whose margin is still below the threshold.
-    if (mispredict || score(pc, target) < config_.trainingThreshold) {
-        adjustWeights(pc, target, +1);
-        if (prediction.valid && prediction.target != target)
-            adjustWeights(pc, prediction.target, -1);
+    // predictions whose margin is still below the threshold.  A
+    // correct prediction chose the target itself, so its margin is
+    // the score choose() already computed.
+    if (mispredict || choice.score < config_.trainingThreshold) {
+        adjustWeights(features,
+                      mispredict ? targetFold(target) : choice.fold, +1);
+        if (mispredict && prediction.valid)
+            adjustWeights(features, choice.fold, -1);
     }
 
     // Keep the candidate cache warm: promote the actual target to MRU
     // or install it over the LRU way.
-    const std::uint64_t set = candidateSet(pc);
     const std::uint64_t tag = candidateTag(target);
     if (TargetEntry *entry = candidates_.lookup(set, tag)) {
         entry->train(target);
@@ -141,6 +185,7 @@ PerceptronIndirect::update(trace::Addr pc, trace::Addr target)
         fresh.train(target);
         candidates_.insert(set, tag, fresh);
     }
+    return prediction;
 }
 
 void

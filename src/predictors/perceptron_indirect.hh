@@ -53,15 +53,26 @@ struct PerceptronIndirectConfig
 };
 
 /** Hashed-perceptron target selection over a candidate cache. */
-class PerceptronIndirect : public IndirectPredictor
+class PerceptronIndirect final : public IndirectPredictor
 {
   public:
+    /** Most weight tables a configuration may have: the per-branch
+     *  feature-hash scratch is a fixed-size stack array. */
+    static constexpr std::size_t kMaxTables = 16;
+
     explicit PerceptronIndirect(const PerceptronIndirectConfig &config,
                                 std::string name = "Perceptron");
 
     std::string name() const override { return name_; }
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
+
+    /** Fused fast path: one scoring pass per branch, whose feature
+     *  hashes and chosen candidate also drive training.  Bit-identical
+     *  to split predict()+update(). */
+    Prediction predictAndUpdate(trace::Addr pc,
+                                trace::Addr target) override;
+
     void observe(const trace::BranchRecord &record) override;
     std::uint64_t storageBits() const override;
     void reset() override;
@@ -84,15 +95,45 @@ class PerceptronIndirect : public IndirectPredictor
     int maxWeight() const { return maxWeight_; }
 
   private:
+    /** The per-branch part of every table's feature hash,
+     *  (pc >> 2) ^ (segment << 1) ^ (table * 0x9E37): a candidate's row
+     *  in table t is reduce(base[t] ^ targetFold(candidate)).  Only
+     *  the first numTables slots are written or read. */
+    struct Features
+    {
+        std::uint64_t base[kMaxTables];
+    };
+
+    /** The best-scoring cached candidate (invalid: none cached). */
+    struct Choice
+    {
+        Prediction prediction;
+        int score = 0;
+        std::uint64_t fold = 0; ///< targetFold(prediction.target)
+    };
+
+    /** The candidate target's contribution to every feature hash. */
+    static std::uint64_t
+    targetFold(trace::Addr target)
+    {
+        return util::foldXor(target >> 2, 40, 16);
+    }
+
     std::uint64_t candidateSet(trace::Addr pc) const;
     std::uint64_t candidateTag(trace::Addr target) const;
-    void adjustWeights(trace::Addr pc, trace::Addr target, int delta);
+    void featuresFor(trace::Addr pc, Features &features) const;
+    int scoreFold(const Features &features, std::uint64_t fold) const;
+    Choice choose(std::uint64_t set, const Features &features) const;
+    void adjustWeights(const Features &features, std::uint64_t fold,
+                       int delta);
 
     PerceptronIndirectConfig config_;
     std::string name_;
     int maxWeight_;
     ShiftHistory pibHistory_;
     ShiftHistory pbHistory_;
+    unsigned pibSegmentBits_; ///< PIB bits per table's segment
+    unsigned pbSegmentBits_;  ///< PB bits per table's segment
     util::AssocTable<TargetEntry> candidates_;
     std::vector<util::DirectTable<std::int8_t>> weights_;
     util::Counter weightUpdates_;

@@ -68,7 +68,11 @@ replaySpan(const trace::BranchRecord *span, std::size_t n,
  * call (not per record) hands @p fn the hottest predictors as their
  * final types, so replaySpan() inlines them.  Anything else —
  * composite predictors, test doubles — gets the base class and the
- * generic virtual loop, with identical semantics.
+ * generic virtual loop, with identical semantics.  ITTAGE and
+ * Perceptron are final as well but stay out of the switch: their
+ * per-branch work is defined out of line, so a concrete type only
+ * turns the indirect call into a direct one, which measured as no
+ * gain (EXPERIMENTS.md, post-1998 replay cost).
  */
 template <typename Fn>
 decltype(auto)

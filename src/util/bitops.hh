@@ -74,6 +74,18 @@ rotateLeft(std::uint64_t value, unsigned width, unsigned amount)
 }
 
 /**
+ * The reduction rotateLeft() applies to its amount, on its own:
+ * @p amount modulo @p width (0 when @p width is 0).  A caller that
+ * rotates by a fixed amount reduces it once, outside its hot loop,
+ * instead of paying rotateLeft()'s runtime division on every call.
+ */
+constexpr unsigned
+rotateAmount(unsigned amount, unsigned width)
+{
+    return width == 0 ? 0 : amount % width;
+}
+
+/**
  * Reverse the order of the low @p width bits of @p value.  Used by the
  * Dpath predictor's reverse-interleaving index (Driesen & Holzle).
  */

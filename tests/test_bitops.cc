@@ -69,6 +69,12 @@ TEST(RotateLeft, Basics)
     EXPECT_EQ(rotateLeft(0b1010, 4, 0), 0b1010u);
     EXPECT_EQ(rotateLeft(0b1010, 4, 4), 0b1010u);
     EXPECT_EQ(rotateLeft(0xff, 0, 3), 0u);
+    // rotateAmount() is rotateLeft()'s own amount reduction.
+    EXPECT_EQ(rotateAmount(95, 7), 4u);
+    EXPECT_EQ(rotateAmount(12, 6), 0u);
+    EXPECT_EQ(rotateAmount(3, 0), 0u);
+    EXPECT_EQ(rotateLeft(0b1010011, 7, 95),
+              rotateLeft(0b1010011, 7, rotateAmount(95, 7)));
 }
 
 TEST(ReverseBits, Basics)

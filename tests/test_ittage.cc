@@ -2,7 +2,8 @@
  * @file
  * Tests for the ITTAGE tagged-geometric indirect predictor: history
  * geometry, folded-history algebra, partial-tag aliasing, the
- * allocation cascade, and checkpoint serde.
+ * allocation cascade, fused-vs-split equivalence under allocation
+ * pressure, and checkpoint serde.
  */
 
 #include <cstdint>
@@ -11,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "util/probe.hh"
 #include "util/serde.hh"
+#include "workload/adversarial.hh"
 #include "predictors/ittage.hh"
+#include "sim/experiment.hh"
 
 namespace {
 
@@ -124,6 +128,61 @@ TEST(Ittage, FoldedHistoryCancelsOutgoingSymbolsExactly)
     EXPECT_EQ(fresh.value(), longLived.value())
         << "outgoing-symbol cancellation drifted";
     EXPECT_EQ(longLived.value() & ~ibp::util::maskLow(width), 0u);
+}
+
+/** The fold of @p window (most recent symbol first) computed from
+ *  scratch: every symbol rotated by symbolBits per step of age, with
+ *  the general-purpose util::rotateLeft() as the oracle. */
+std::uint64_t
+foldFromScratch(const std::deque<std::uint32_t> &window, unsigned width,
+                unsigned symbol_bits)
+{
+    std::uint64_t folded = 0;
+    for (std::size_t age = 0; age < window.size(); ++age)
+        folded ^= ibp::util::rotateLeft(
+            window[age], width,
+            symbol_bits * static_cast<unsigned>(age));
+    return folded;
+}
+
+TEST(Ittage, FoldedHistoryMatchesFromScratchFoldAtEdgeGeometries)
+{
+    // push() applies rotate amounts the constructor reduced once; the
+    // oracle reduces every amount afresh.  The geometries pin the
+    // edges of that precomputation.
+    struct Geometry
+    {
+        unsigned width, length, symbolBits;
+    };
+    const Geometry geometries[] = {
+        {1, 5, 4},    // width 1: every rotation is the identity
+        {32, 9, 4},   // the widest register
+        {32, 40, 31}, // widest register, 31 * 39 = 1209 bits of age
+        {7, 1, 4},    // length 1: the window is the newest symbol
+        {6, 5, 3},    // 3 * 4 = 12, a multiple of 6: amount 0
+        {4, 3, 2},    // 2 * 2 = 4 = width: amount 0
+        {5, 6, 5},    // symbolBits = width: both amounts 0
+        {7, 20, 5},   // 5 * 19 = 95 >= 64
+        {11, 64, 4},  // paper ITTAGE's longest window: 4 * 63 = 252
+        {3, 17, 8},   // symbols wider than the register
+    };
+    for (const Geometry &g : geometries) {
+        FoldedHistory fold(g.width, g.length, g.symbolBits);
+        std::deque<std::uint32_t> window(g.length, 0);
+        std::uint32_t lcg = 0xF01D + g.width * 131 + g.length;
+        for (int i = 0; i < 500; ++i) {
+            lcg = lcg * 1664525u + 1013904223u;
+            const auto symbol = static_cast<std::uint32_t>(
+                (lcg >> 3) & ibp::util::maskLow(g.symbolBits));
+            fold.push(symbol, window.back());
+            window.pop_back();
+            window.push_front(symbol);
+            ASSERT_EQ(fold.value(),
+                      foldFromScratch(window, g.width, g.symbolBits))
+                << "width " << g.width << " length " << g.length
+                << " symbolBits " << g.symbolBits << " push " << i;
+        }
+    }
 }
 
 TEST(Ittage, PartialTagsAliasAcrossBranches)
@@ -313,6 +372,55 @@ TEST(Ittage, ObserveIgnoresOffStreamBranches)
     ittage.observe(mono);
     EXPECT_EQ(stateBytes(ittage), before)
         << "MtIndirect-stream folds moved on off-stream branches";
+}
+
+TEST(Ittage, FusedMatchesSplitUnderAllocationPressure)
+{
+    // 4-entry components with 2-bit tags alias constantly, so the
+    // allocation cascade stalls and ages useful counters, and lines
+    // retarget in place: every path where the fused call reuses one
+    // branch's indices and tags across training and allocation.  The
+    // split clone (predict() then update()) must stay byte-identical.
+    IttageConfig config = smallConfig();
+    config.baseEntries = 4;
+    config.entriesPerComponent = 4;
+    config.tagBits = 2;
+    Ittage split(config);
+    Ittage fused(config);
+
+    auto sparse = ibp::workload::sparseProfile(11, {1, 5, 9}, 6, 0.02);
+    auto matcher = ibp::workload::matcherProfile(
+        5, "abaab", "abaababaabaababaababaabaaab", true);
+    sparse.records = 3000;
+    matcher.records = 3000;
+    for (const auto &profile : {sparse, matcher}) {
+        ibp::trace::TraceBuffer trace = ibp::sim::generateTrace(profile);
+        trace.rewind();
+        BranchRecord record;
+        while (trace.next(record)) {
+            if (record.isPredictedIndirect()) {
+                const Prediction a = split.predict(record.pc);
+                split.update(record.pc, record.target);
+                const Prediction b =
+                    fused.predictAndUpdate(record.pc, record.target);
+                ASSERT_EQ(a.valid, b.valid);
+                ASSERT_EQ(a.target, b.target);
+            }
+            split.observe(record);
+            fused.observe(record);
+        }
+    }
+    EXPECT_EQ(stateBytes(split), stateBytes(fused));
+
+    ibp::obs::ProbeRegistry splitProbes, fusedProbes;
+    split.snapshotProbes(splitProbes);
+    fused.snapshotProbes(fusedProbes);
+    EXPECT_EQ(splitProbes.counters(), fusedProbes.counters());
+    if (ibp::util::kInstrumentEnabled) {
+        EXPECT_GT(fusedProbes.counterValue("ittage/alloc_stalls"), 0u)
+            << "the configuration no longer exercises stalls";
+        EXPECT_GT(fusedProbes.counterValue("ittage/allocations"), 0u);
+    }
 }
 
 } // namespace

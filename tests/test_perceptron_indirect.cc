@@ -2,7 +2,8 @@
  * @file
  * Tests for the hashed-perceptron indirect predictor: a hand-computed
  * training trace, margin-threshold gating, weight saturation, the
- * candidate cache, and checkpoint serde.
+ * candidate cache, fused-vs-split equivalence on shared saturating
+ * weights, and checkpoint serde.
  */
 
 #include <cstdint>
@@ -10,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include "util/probe.hh"
 #include "util/serde.hh"
+#include "workload/adversarial.hh"
 #include "predictors/perceptron_indirect.hh"
+#include "sim/experiment.hh"
 
 namespace {
 
@@ -276,6 +280,53 @@ TEST(PerceptronIndirect, ResetRestoresColdState)
     p.reset();
     EXPECT_FALSE(p.predict(0x120000040).valid);
     EXPECT_EQ(stateBytes(p), stateBytes(cold));
+}
+
+TEST(PerceptronIndirect, FusedMatchesSplitOnSharedSaturatingWeights)
+{
+    // Two-entry weight tables and 2-bit weights: the actual target's
+    // +1 pass and the wrong candidate's -1 pass land on the same slots
+    // and saturate at +-1 all the time, so the order the fused call
+    // applies them in shows up in the state.  It must match the split
+    // predict()-then-update() clone byte for byte.
+    PerceptronIndirectConfig config = smallConfig();
+    config.entriesPerTable = 2;
+    config.weightBits = 2;
+    PerceptronIndirect split(config);
+    PerceptronIndirect fused(config);
+
+    auto sparse = ibp::workload::sparseProfile(11, {1, 5, 9}, 6, 0.02);
+    auto matcher = ibp::workload::matcherProfile(
+        5, "abaab", "abaababaabaababaababaabaaab", true);
+    sparse.records = 3000;
+    matcher.records = 3000;
+    for (const auto &profile : {sparse, matcher}) {
+        ibp::trace::TraceBuffer trace = ibp::sim::generateTrace(profile);
+        trace.rewind();
+        BranchRecord record;
+        while (trace.next(record)) {
+            if (record.isPredictedIndirect()) {
+                const Prediction a = split.predict(record.pc);
+                split.update(record.pc, record.target);
+                const Prediction b =
+                    fused.predictAndUpdate(record.pc, record.target);
+                ASSERT_EQ(a.valid, b.valid);
+                ASSERT_EQ(a.target, b.target);
+            }
+            split.observe(record);
+            fused.observe(record);
+        }
+    }
+    EXPECT_EQ(stateBytes(split), stateBytes(fused));
+
+    ibp::obs::ProbeRegistry splitProbes, fusedProbes;
+    split.snapshotProbes(splitProbes);
+    fused.snapshotProbes(fusedProbes);
+    EXPECT_EQ(splitProbes.counters(), fusedProbes.counters());
+    if (ibp::util::kInstrumentEnabled) {
+        EXPECT_GT(
+            fusedProbes.counterValue("perceptron/weight_updates"), 0u);
+    }
 }
 
 } // namespace
